@@ -23,11 +23,11 @@ the distributed algorithm simply outputs nothing until the views settle.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
+from math import gcd
 from typing import List, Optional
 
 from repro.graphs.digraph import DiGraph
-from repro.linalg.exact import integer_kernel_vector, primitive_integer_vector
+from repro.linalg.exact import integer_kernel_vector
 
 
 def _edge_counts(base: DiGraph) -> List[List[int]]:
@@ -79,6 +79,8 @@ def fibre_ratios_symmetric(base: DiGraph) -> Optional[List[int]]:
 
     The ratios must be globally consistent (every non-tree pair must also
     satisfy eq. (4)); a violated pair marks an unstabilized candidate.
+    They stay integers throughout: a non-integral step rescales the whole
+    partial vector instead of forming a ``Fraction``.
     """
     m = base.n
     d = _edge_counts(base)
@@ -87,23 +89,27 @@ def fibre_ratios_symmetric(base: DiGraph) -> Optional[List[int]]:
         for j in range(m):
             if (d[i][j] > 0) != (d[j][i] > 0):
                 return None
-    z: List[Optional[Fraction]] = [None] * m
-    z[0] = Fraction(1)
+    z = [0] * m  # 0 marks "not reached": every ratio is positive
+    z[0] = 1
     queue = deque([0])
     while queue:
         i = queue.popleft()
         for j in range(m):
-            if j == i or d[i][j] == 0 or z[j] is not None:
+            if j == i or d[i][j] == 0 or z[j]:
                 continue
-            z[j] = z[i] * Fraction(d[j][i], d[i][j])
+            # z_j = z_i · d_{j,i} / d_{i,j}, kept integral by scaling every
+            # ratio found so far by the reduced denominator.
+            num, den = z[i] * d[j][i], d[i][j]
+            g = gcd(num, den)
+            if den != g:
+                z = [x * (den // g) for x in z]
+            z[j] = num // g
             queue.append(j)
-    if any(zj is None for zj in z):
+    if not all(z):
         return None  # base support not connected: not a real base
     for i in range(m):
         for j in range(m):
             if d[i][j] and z[j] * d[i][j] != z[i] * d[j][i]:
                 return None
-    ints = primitive_integer_vector([zj for zj in z if zj is not None])
-    if any(x <= 0 for x in ints):
-        return None
-    return ints
+    g = gcd(*z)
+    return [x // g for x in z]

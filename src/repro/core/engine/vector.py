@@ -719,10 +719,6 @@ class VectorExecution(Execution):
             self.step()
         return self
 
-    def outputs(self) -> List[Any]:
-        self._materialize()
-        return super().outputs()
-
     def __repr__(self) -> str:
         if self.vector_active:
             return (

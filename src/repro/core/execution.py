@@ -238,7 +238,7 @@ class Execution:
     def outputs(self) -> List[Any]:
         """Current output variables ``x_1 .. x_n``."""
         output = self.algorithm.output
-        return [output(s) for s in self._stepper.states]
+        return [output(s) for s in self.states]
 
     def unanimous_output(self) -> Any:
         """The common output if all agents agree, else ``None``.
@@ -248,11 +248,23 @@ class Execution:
         comparison would be wrong for sets: two equal frozensets may
         iterate — hence print — in different orders depending on insertion
         history and hash seed; the canonicalizer sorts them first.)
+
+        Outputs are evaluated agent by agent, from the same states
+        :meth:`outputs` reads, and the scan stops at the first ``None`` or
+        disagreeing output: either settles the answer as ``None``, and
+        outputs are pure functions of local state (§2.2), so skipping the
+        remaining agents changes nothing.
         """
-        outs = self.outputs()
-        first = outs[0]
+        output = self.algorithm.output
+        states = self.states
+        first = output(states[0])
+        if first is None:
+            return None
         first_canonical: Optional[str] = None
-        for o in outs[1:]:
+        for state in states[1:]:
+            o = output(state)
+            if o is None:
+                return None
             try:
                 if o == first:
                     continue

@@ -1,10 +1,11 @@
 """Linear algebra for the paper's two regimes.
 
-:mod:`.exact` — exact rational/integer elimination for the static pipeline
-("Gaussian elimination over the Euclidean ring ℤ", §4.2); :mod:`.perron` —
-the Perron–Frobenius analysis of the fibre matrix ``M``; :mod:`.stochastic`
-— column-stochastic matrices, backward products, α-safety, and Dobrushin's
-ergodic coefficient for the dynamic pipeline (§5).
+:mod:`.exact` — sparse fraction-free elimination over ℤ for the static
+pipeline ("Gaussian elimination over the Euclidean ring ℤ", §4.2);
+:mod:`.perron` — the Perron–Frobenius analysis of the fibre matrix ``M``;
+:mod:`.stochastic` — column-stochastic matrices, backward products,
+α-safety, and Dobrushin's ergodic coefficient for the dynamic pipeline
+(§5).
 """
 
 from repro.linalg.exact import (

@@ -1,21 +1,33 @@
-"""Exact rational elimination and integer kernels (§4.2).
+"""Exact elimination over ℤ and integer kernels (§4.2).
 
 The static algorithm solves ``M z = 0`` for the fibre-cardinality vector,
 where ``M`` is a small integer matrix derived from the minimum base.  The
-paper's agents use "Gaussian elimination over the Euclidean ring ℤ"; we
-perform fraction-free-equivalent elimination with ``fractions.Fraction``
-(exact, no overflow in Python) and scale the kernel basis back to the
-primitive integer vector with coprime entries.
+paper's agents use "Gaussian elimination over the Euclidean ring ℤ", and
+so does this module: a sparse, fraction-free Gauss–Jordan elimination.
+Rows are ``{column: int}`` dicts holding only their nonzero entries (the
+refinement and symmetry systems are mostly zeros and ±1); a row is
+cleared by cross-multiplication with the pivot row and then divided by
+the gcd of its entries, so coefficients stay small and no rational is
+formed until the kernel basis is read off.  The reduced rows span the
+same space as the unique reduced row echelon form, so the basis returned
+is exactly the one textbook elimination over ``fractions.Fraction``
+gives; the test suite keeps that ``Fraction`` elimination as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 Matrix = Sequence[Sequence[int]]
+
+#: A sparse integer row: column index -> nonzero entry.
+Row = Dict[int, int]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def gcd_list(xs: Sequence[int]) -> int:
@@ -34,55 +46,91 @@ def lcm_list(xs: Sequence[int]) -> int:
     return out
 
 
-def _to_fractions(matrix: Matrix) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _eliminate(target: Row, pivot: Row, col: int) -> None:
+    """Clear ``target[col]`` in place with the pivot row, fraction-free:
+    ``target ← (p/g)·target − (t/g)·pivot`` for ``p = pivot[col]``,
+    ``t = target[col]``, ``g = gcd(p, t)``, then divide out the row's
+    content."""
+    p, t = pivot[col], target[col]
+    g = gcd(p, t)
+    p, t = p // g, t // g
+    if p != 1:
+        for c in target:
+            target[c] *= p
+    for c, x in pivot.items():
+        y = target.get(c, 0) - t * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+    if target:
+        g = gcd(*target.values())
+        if g != 1:
+            for c in target:
+                target[c] //= g
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def _reduce(matrix: Matrix) -> Dict[int, Row]:
+    """Reduced echelon form of ``matrix`` as ``{pivot column: row}``.
+
+    Each row holds its pivot column plus free columns only (Gauss–Jordan),
+    scaled to coprime integers — the RREF row times its pivot entry.
+    Columns are taken left to right, so the pivot set is the RREF's; the
+    pivot row for a column is the sparsest candidate (fewest entries,
+    then smallest pivot), which keeps fill-in and coefficient growth low.
+    """
+    rows: List[Row] = []
+    for row in matrix:
+        sparse = {c: x for c, x in enumerate(row) if x}
+        if sparse:
+            rows.append(sparse)
+    pivots: Dict[int, Row] = {}
+    n_cols = len(matrix[0]) if rows else 0
+    for col in range(n_cols):
+        if not rows:
             break
-    return rows, pivots
+        holders = [i for i, row in enumerate(rows) if col in row]
+        if not holders:
+            continue
+        chosen = min(holders, key=lambda i: (len(rows[i]), abs(rows[i][col])))
+        pivot = rows[chosen]
+        for i in holders:
+            if i != chosen:
+                _eliminate(rows[i], pivot, col)
+        for row in pivots.values():
+            if col in row:
+                _eliminate(row, pivot, col)
+        pivots[col] = pivot
+        rows = [row for i, row in enumerate(rows) if row and i != chosen]
+    return pivots
 
 
 def rational_rank(matrix: Matrix) -> int:
     """The rank of an integer matrix over ℚ (exact)."""
-    _rows, pivots = _rref(_to_fractions(matrix))
-    return len(pivots)
+    return len(_reduce(matrix))
 
 
 def kernel_basis(matrix: Matrix) -> List[List[Fraction]]:
-    """A basis of ``ker`` (right null space) over ℚ, exact."""
-    rows = _to_fractions(matrix)
-    if not rows:
+    """A basis of ``ker`` (right null space) over ℚ, exact.
+
+    One vector per free column ``f`` of the reduced row echelon form:
+    ``1`` at ``f``, ``-rref[r][f]`` at the pivot column of row ``r``, and
+    ``0`` elsewhere.
+    """
+    if not matrix:
         return []
-    n_cols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    n_cols = len(matrix[0])
+    pivots = _reduce(matrix)
     basis: List[List[Fraction]] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [_ZERO] * n_cols
+        vec[free] = _ONE
+        for col, row in pivots.items():
+            x = row.get(free)
+            if x:
+                vec[col] = Fraction(-x, row[col])
         basis.append(vec)
     return basis
 

@@ -38,7 +38,7 @@ import asyncio
 import os
 import re
 import signal
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Set, Union
 
 from repro.envflags import env_int
 from repro.service.http import (
@@ -79,6 +79,9 @@ _RESULT_KEY_RE = re.compile(r"^[0-9a-f]{32}$")
 
 #: Terminal job states (mirrors the scheduler's vocabulary).
 _TERMINAL = ("done", "failed")
+
+#: Seconds a request in flight at shutdown gets to finish its response.
+_SHUTDOWN_GRACE = 5.0
 
 
 def service_port(default: int = DEFAULT_PORT) -> int:
@@ -145,6 +148,12 @@ class ExperimentService:
             "errors": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections (handler task -> writer), and the writers of
+        #: those parked waiting on their client: between requests in
+        #: ``read_request`` or inside an SSE stream.
+        self._connections: Dict[asyncio.Task, Any] = {}
+        self._parked: Set[Any] = set()
+        self._closing = False
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -175,10 +184,32 @@ class ExperimentService:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting and drain every open connection.
+
+        Connections parked on their client (idle keep-alive, SSE streams)
+        are closed at once, which their handlers see as EOF; a request
+        in flight gets :data:`_SHUTDOWN_GRACE` seconds to finish its
+        response before its transport is aborted.  No handler is ever
+        cancelled: a cancelled connection task surfaces as a
+        ``CancelledError`` traceback from asyncio's stream callback.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        self._closing = True
+        for writer in list(self._parked):
+            writer.close()
+        if self._connections:
+            _done, pending = await asyncio.wait(
+                list(self._connections), timeout=_SHUTDOWN_GRACE
+            )
+            for task in pending:
+                self._connections[task].transport.abort()
+            if pending:
+                await asyncio.wait(pending)
+        await self._server.wait_closed()
+        self._server = None
+        self._closing = False
 
     @property
     def address(self) -> str:
@@ -191,8 +222,11 @@ class ExperimentService:
 
     async def _handle_connection(self, reader, writer) -> None:
         parser = RequestReader(reader, max_head=self.max_head, max_body=self.max_body)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._closing:
+                self._parked.add(writer)
                 try:
                     request = await parser.read_request()
                 except HttpError as exc:
@@ -200,6 +234,8 @@ class ExperimentService:
                     writer.write(error_response(exc, keep_alive=False))
                     await writer.drain()
                     break
+                finally:
+                    self._parked.discard(writer)
                 if request is None:
                     break
                 self.counters["requests"] += 1
@@ -236,6 +272,7 @@ class ExperimentService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[task]
 
     # -- routing --------------------------------------------------------- #
 
@@ -266,7 +303,11 @@ class ExperimentService:
         match = re.fullmatch(r"/v1/runs/([A-Za-z0-9_.-]+)/events", path)
         if match:
             self._expect(request, "GET")
-            await self._stream_events(request, match.group(1), reader, writer)
+            self._parked.add(writer)
+            try:
+                await self._stream_events(request, match.group(1), reader, writer)
+            finally:
+                self._parked.discard(writer)
             return True
         match = re.fullmatch(r"/v1/results/([A-Za-z0-9_.-]+)", path)
         if match:
@@ -609,15 +650,17 @@ async def serve_async(
     except asyncio.CancelledError:
         pass
     finally:
+        for signum in handled_signals:
+            loop.remove_signal_handler(signum)
+        # Drain connections before cancelling serve_forever(): on newer
+        # Pythons its cancellation waits for every connection to close.
+        await service.close()
         for task in (serve_task, stop_task):
             task.cancel()
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-        for signum in handled_signals:
-            loop.remove_signal_handler(signum)
-        await service.close()
         if orchestrator_task is not None:
             # Cancelling lets Orchestrator.run()'s own finally block
             # drain in-flight dispatches and shut its pools down.

@@ -318,36 +318,36 @@ def expected_result_key(kind: str, params: Dict[str, Any]) -> Optional[str]:
     Mirrors each runner's key derivation (including the default ``n`` /
     ``seed`` the table and certificate runners fill in, and the
     acceleration flags they exclude).  Returns ``None`` when the key
-    cannot be predicted (unknown kind, invalid scenario config) — the
-    orchestrator then simply dispatches without dedup.
+    cannot be predicted — an unknown kind, or params that fail
+    validation (a :class:`~repro.scenarios.ScenarioError`, ``ValueError``,
+    ``TypeError`` or ``KeyError``) — and the orchestrator then simply
+    dispatches without dedup, leaving the run to report the error.  Any
+    other exception is a bug in the dedup path and propagates.
     """
+    from repro.scenarios import ScenarioError, validate_scenario
+
     try:
         if kind in ("table1", "table2"):
             dynamic = kind == "table2"
-            return document_key(
-                kind,
-                {
-                    "n": int(params.get("n", 5 if dynamic else 6)),
-                    "seed": int(params.get("seed", 0)),
-                },
-            )
-        if kind == "certificate":
-            return document_key(
-                kind,
-                {"n": int(params.get("n", 6)), "seed": int(params.get("seed", 0))},
-            )
-        if kind == "sweep":
-            return document_key(kind, dict(params))
-        if kind == "noop":
-            return document_key(kind, _noop_params(params))
-        if kind == "scenario":
-            from repro.scenarios import validate_scenario
-
+            identity = {
+                "n": int(params.get("n", 5 if dynamic else 6)),
+                "seed": int(params.get("seed", 0)),
+            }
+        elif kind == "certificate":
+            identity = {"n": int(params.get("n", 6)), "seed": int(params.get("seed", 0))}
+        elif kind == "sweep":
+            identity = dict(params)
+        elif kind == "noop":
+            identity = _noop_params(params)
+        elif kind == "scenario":
             scenario = validate_scenario(params.get("config"), source="dedup")
-            return document_key(kind, {"config": scenario.identity()})
-    except Exception:
+        else:
+            return None
+    except (ScenarioError, ValueError, TypeError, KeyError):
         return None
-    return None
+    if kind == "scenario":
+        identity = {"config": scenario.identity()}
+    return document_key(kind, identity)
 
 
 def run_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> str:

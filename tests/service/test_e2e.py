@@ -179,3 +179,38 @@ class TestServeSubprocess:
             if process.poll() is None:  # pragma: no cover
                 process.kill()
                 process.wait(timeout=15)
+
+    def test_sigterm_with_idle_keepalive_client_is_clean(self, tmp_path):
+        """A keep-alive client parked between requests must not turn the
+        shutdown into a ``CancelledError`` traceback: the drain closes
+        its connection, the process exits 0 with nothing on stderr, and
+        no pool worker outlives it."""
+        from repro.service.client import ServiceClient
+
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--root",
+             str(tmp_path / "root"), "--port", "0", "--pools", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ),
+            text=True,
+        )
+        try:
+            announce = json.loads(process.stdout.readline())
+            with ServiceClient(announce["host"], announce["port"], timeout=30) as client:
+                assert client.healthz()["status"] == "ok"  # leaves the connection open
+                process.terminate()
+                assert process.wait(timeout=15) == 0
+            outcome = {}
+            reader = threading.Thread(
+                target=lambda: outcome.update(zip(("out", "err"), process.communicate())),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=15)
+            assert not reader.is_alive(), "stdio pipes still open: orphaned workers"
+            assert outcome["err"] == ""
+        finally:
+            if process.poll() is None:  # pragma: no cover
+                process.kill()
+                process.wait(timeout=15)

@@ -160,6 +160,28 @@ class TestExpectedResultKey:
         assert expected_result_key("haruspicy", {}) is None
         assert expected_result_key("scenario", {"config": {"bogus": True}}) is None
 
+    def test_invalid_params_return_none(self):
+        assert expected_result_key("scenario", {}) is None
+        assert expected_result_key("scenario", {"config": ["not", "a", "mapping"]}) is None
+        assert expected_result_key("table1", {"n": "six"}) is None
+        assert expected_result_key("certificate", {"seed": None}) is None
+
+    def test_dedup_bugs_propagate(self, monkeypatch):
+        """Only invalid params read as "no prediction"; a failure inside
+        the dedup path itself must surface, not pose as a cache miss."""
+        import repro.scenarios
+        import repro.store.jobs as jobs
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("dedup path bug")
+
+        monkeypatch.setattr(repro.scenarios, "validate_scenario", broken)
+        with pytest.raises(RuntimeError, match="dedup path bug"):
+            expected_result_key("scenario", {"config": {}})
+        monkeypatch.setattr(jobs, "document_key", broken)
+        with pytest.raises(RuntimeError, match="dedup path bug"):
+            expected_result_key("noop", {"i": 1})
+
 
 class TestLeaseTakeoverRace:
     """Two workers spotting the same stale lease: exactly one wins, and
