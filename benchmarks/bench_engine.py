@@ -12,14 +12,6 @@ refactor targeted:
   round) — plans must be compiled per round graph, so this bounds the
   worst case for the plan layer.
 
-A third workload benchmarks the PR-7 **vector backend**: Push-Sum on a
-64-node *periodic* dynamic graph (16 pre-built strongly connected
-digraphs cycled round-robin, so plans cache but the topology genuinely
-changes every round).  The object engine runs one Python call per vertex
-per round; the vector engine runs the same rounds as numpy
-gather/segment-reduce over cached CSR index arrays.  Acceptance bar:
-``vector ≥ 10×`` object on this workload.
-
 Results are written to ``BENCH_engine.json`` next to this file's repo
 root, and the static-ring speedup is asserted ≥ 2× (the refactor's
 acceptance bar).
@@ -35,19 +27,15 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.algorithms import PushSumAlgorithm
 from repro.core.agent import BroadcastAlgorithm
 from repro.core.engine import ReferenceExecution
-from repro.core.engine.vector import numpy_available
 from repro.core.execution import Execution
-from repro.dynamics.dynamic_graph import PeriodicDynamicGraph
 from repro.dynamics.generators import random_dynamic_strongly_connected
-from repro.graphs.builders import bidirectional_ring, random_strongly_connected
+from repro.graphs.builders import bidirectional_ring
 
 N = 64
 ROUNDS = 300
 REPEATS = 3
-VECTOR_SPEEDUP_BAR = 10.0
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -67,15 +55,15 @@ class FloodCount(BroadcastAlgorithm):
         return state
 
 
-def _throughput(make_execution, rounds: int = ROUNDS, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` rounds/sec for a fresh execution each repeat."""
+def _throughput(make_execution) -> float:
+    """Best-of-``REPEATS`` rounds/sec for a fresh execution each repeat."""
     best = 0.0
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         execution = make_execution()
         started = time.perf_counter()
-        execution.run(rounds)
+        execution.run(ROUNDS)
         elapsed = time.perf_counter() - started
-        best = max(best, rounds / elapsed)
+        best = max(best, ROUNDS / elapsed)
     return best
 
 
@@ -103,43 +91,6 @@ def _workloads():
     }
 
 
-def _vector_workload():
-    """Object vs vector Push-Sum on a periodic 64-node dynamic graph.
-
-    Each execution first runs one full 16-graph period untimed so every
-    round graph's plan (and the vector path's CSR arrays) is compiled and
-    cached — the timed section then measures steady-state round
-    throughput, which is what the table harness's long runs see.  Both
-    engines get the identical warm-up.
-    """
-    inputs = [float(v + 1) for v in range(N)]
-    graphs = [random_strongly_connected(N, 0.2, seed=100 + i) for i in range(16)]
-
-    def make(vector):
-        def build():
-            execution = Execution(
-                PushSumAlgorithm(),
-                PeriodicDynamicGraph(graphs),
-                inputs=inputs,
-                vector=vector,
-            )
-            execution.run(len(graphs))  # warm the plan/CSR caches
-            return execution
-
-        return build
-
-    # Longer timed section + more repeats than the interpreter workloads:
-    # the vector engine finishes 300 rounds in ~10ms, so per-run jitter
-    # needs more amortization before the ratio stabilizes.
-    object_rps = _throughput(make(False), rounds=600, repeats=5)
-    vector_rps = _throughput(make(True), rounds=600, repeats=5)
-    return {
-        "object_rounds_per_sec": round(object_rps, 1),
-        "vector_rounds_per_sec": round(vector_rps, 1),
-        "speedup": round(vector_rps / object_rps, 2),
-    }
-
-
 def run_bench() -> dict:
     results = {"n": N, "rounds": ROUNDS, "workloads": {}}
     for name, (make_old, make_new) in _workloads().items():
@@ -150,8 +101,6 @@ def run_bench() -> dict:
             "new_rounds_per_sec": round(new_rps, 1),
             "speedup": round(new_rps / old_rps, 2),
         }
-    if numpy_available():
-        results["vector_push_sum_dynamic_64"] = _vector_workload()
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
 
@@ -162,12 +111,6 @@ def _render(results: dict) -> str:
         lines.append(
             f"  {name:<20} old {r['old_rounds_per_sec']:>9.1f} r/s   "
             f"new {r['new_rounds_per_sec']:>9.1f} r/s   ({r['speedup']:.2f}x)"
-        )
-    vec = results.get("vector_push_sum_dynamic_64")
-    if vec:
-        lines.append(
-            f"  {'vector_push_sum':<20} obj {vec['object_rounds_per_sec']:>9.1f} r/s   "
-            f"vec {vec['vector_rounds_per_sec']:>9.1f} r/s   ({vec['speedup']:.2f}x)"
         )
     lines.append(f"  -> {RESULT_PATH.name}")
     return "\n".join(lines)
@@ -184,12 +127,6 @@ def test_engine_speedup():
     assert dynamic["speedup"] >= 1.0, (
         f"engine slower than the naive interpreter on dynamic graphs: {dynamic}"
     )
-    vec = results.get("vector_push_sum_dynamic_64")
-    if vec is not None:
-        assert vec["speedup"] >= VECTOR_SPEEDUP_BAR, (
-            f"vector backend speedup {vec['speedup']}x below the "
-            f"{VECTOR_SPEEDUP_BAR}x acceptance bar"
-        )
 
 
 if __name__ == "__main__":

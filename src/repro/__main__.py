@@ -84,16 +84,6 @@ def trace_main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--vector",
-        action="store_true",
-        help=(
-            "run rounds as vectorized numpy kernels where the algorithm "
-            "has one (gossip, Push-Sum and variants, Metropolis); falls "
-            "back to the object stepper otherwise — the trace is the same "
-            "either way"
-        ),
-    )
-    parser.add_argument(
         "--recurring",
         type=int,
         default=None,
@@ -119,7 +109,6 @@ def trace_main(argv=None) -> int:
     )
     from repro.core.engine.quotient import publish_quotient_metrics, quotient_stats
     from repro.core.engine.trace import trace_execution, write_jsonl
-    from repro.core.engine.vector import publish_vector_metrics, vector_stats
     from repro.core.execution import Execution
     from repro.core.memo import memo_stats, publish_memo_metrics
 
@@ -170,18 +159,13 @@ def trace_main(argv=None) -> int:
 
     baseline = memo_stats()
     quotient_baseline = quotient_stats()
-    vector_baseline = vector_stats()
-    execution = Execution(
-        algorithm, network, inputs=inputs, quotient=args.quotient, vector=args.vector
-    )
+    execution = Execution(algorithm, network, inputs=inputs, quotient=args.quotient)
     tracer = trace_execution(execution, rounds=args.rounds)
     # This run's memo hits/misses (delta from the baseline snapshot) go
     # into the summary metrics as memo_<cache>_hits / _misses counters,
-    # and likewise the quotient and vector layers' activation/fallback
-    # counters.
+    # and likewise the quotient layer's activation/fallback counters.
     publish_memo_metrics(tracer.registry, baseline)
     publish_quotient_metrics(tracer.registry, quotient_baseline)
-    publish_vector_metrics(tracer.registry, vector_baseline)
 
     extra = {"algorithm": args.algorithm, "dynamic": args.dynamic}
     if args.recurring is not None:
@@ -194,11 +178,6 @@ def trace_main(argv=None) -> int:
             "base_n": getattr(execution, "base_n", None),
             "full_n": n,
             "fallback_reason": getattr(execution, "quotient_fallback_reason", None),
-        }
-    if args.vector:
-        extra["vector"] = {
-            "active": bool(getattr(execution, "vector_active", False)),
-            "fallback_reason": getattr(execution, "vector_fallback_reason", None),
         }
 
     manifest = Manifest(
@@ -370,15 +349,6 @@ def store_main(argv=None) -> int:
             "do not change)"
         ),
     )
-    p_submit.add_argument(
-        "--vector",
-        action="store_true",
-        help=(
-            "run the job's cells on the vectorized numpy backend (table "
-            "jobs only; payloads — and hence store keys — are identical "
-            "either way)"
-        ),
-    )
 
     p_run = sub.add_parser("run", help="worker loop: claim and run jobs")
     p_run.add_argument(
@@ -503,8 +473,6 @@ def store_main(argv=None) -> int:
             params = {"n": args.n if args.n is not None else default_n, "seed": args.seed}
         if args.quotient:
             params["quotient"] = True
-        if args.vector:
-            params["vector"] = True
         record = queue.submit(args.kind, params, max_attempts=args.max_attempts)
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -745,15 +713,6 @@ def main(argv=None) -> int:
             "execution)"
         ),
     )
-    parser.add_argument(
-        "--vector",
-        action="store_true",
-        help=(
-            "vectorized cells: run kernel-backed probes as whole-network "
-            "numpy rounds (results are identical; algorithms without a "
-            "kernel fall back to the object stepper)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.json:
@@ -765,14 +724,12 @@ def main(argv=None) -> int:
             parallel=True if args.parallel else None,
             workers=args.workers,
             quotient=True if args.quotient else None,
-            vector=True if args.vector else None,
         )
         print(json.dumps(doc, indent=2))
         return 0 if doc["summary"]["verdict"] == "PASS" else 1
 
     parallel = True if args.parallel else None  # None keeps the env default
     quotient = True if args.quotient else None  # None keeps the env default
-    vector = True if args.vector else None  # None keeps the env default
     failures = 0
     if args.table in ("1", "both"):
         results = reproduce_table1(
@@ -781,7 +738,6 @@ def main(argv=None) -> int:
             parallel=parallel,
             workers=args.workers,
             quotient=quotient,
-            vector=vector,
         )
         print(format_results(results, "Table 1 — static strongly connected networks"))
         failures += sum(not r.consistent for r in results)
@@ -793,7 +749,6 @@ def main(argv=None) -> int:
             parallel=parallel,
             workers=args.workers,
             quotient=quotient,
-            vector=vector,
         )
         print(format_results(results, "Table 2 — dynamic networks with finite dynamic diameter"))
         failures += sum(not r.consistent for r in results)

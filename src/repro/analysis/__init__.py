@@ -17,7 +17,6 @@ from repro.analysis.certificate import (
     reproduction_certificate,
     verify_certificate,
 )
-from repro.analysis.profiling import Profiler, profile_batch, profile_report
 from repro.analysis.provenance import (
     Manifest,
     current_backend,
@@ -38,7 +37,6 @@ __all__ = [
     "CellResult",
     "CollapseOutcome",
     "Manifest",
-    "Profiler",
     "ProofCheck",
     "bandwidth_curve",
     "bandwidth_sweep",
@@ -51,8 +49,6 @@ __all__ = [
     "network_fingerprint",
     "outputs_match",
     "parse_certificate",
-    "profile_batch",
-    "profile_report",
     "render_table",
     "reproduce_table1",
     "reproduce_table2",

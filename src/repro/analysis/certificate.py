@@ -50,7 +50,6 @@ def reproduction_certificate(
     workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Run both tables and assemble the certificate document.
 
@@ -63,8 +62,7 @@ def reproduction_certificate(
     result store when warm and persisted when cold.  ``quotient`` follows
     the tables' contract too (``None`` defers to ``REPRO_QUOTIENT``);
     quotient and direct cells are byte-identical, so it never appears in
-    the document itself.  ``vector`` works the same way for the
-    vectorized numpy backend (``None`` defers to ``REPRO_VECTOR``).
+    the document itself.
     """
     from repro.core.engine.batch import parallel_enabled_by_env
 
@@ -78,7 +76,6 @@ def reproduction_certificate(
             workers=workers,
             store=store,
             quotient=quotient,
-            vector=vector,
         )
     ]
     table2 = [
@@ -90,7 +87,6 @@ def reproduction_certificate(
             workers=workers,
             store=store,
             quotient=quotient,
-            vector=vector,
         )
     ]
     all_cells = table1 + table2

@@ -66,14 +66,14 @@ def outputs_match(
 ) -> bool:
     """Equality by ``repr``, with a float tolerance.
 
-    Lifted and vectorized executions are mathematically identical but may
+    Lifted and direct executions are mathematically identical but may
     sum floats in a different order, so numeric outputs are compared up
     to rounding: scalars via ``math.isclose``, and container outputs
     elementwise with the same tolerance.  The descent is recursive to
     :data:`OUTPUTS_MATCH_MAX_DEPTH` levels — tuples, lists, and ndarrays
     compare positionally, dicts key-by-key (per-value frequency tables
-    are dict outputs) — so nested float structures like the vector
-    backend's per-round output sequences compare correctly; only beyond
+    are dict outputs) — so nested float structures like per-round
+    output sequences compare correctly; only beyond
     the depth cap does the comparison fall back to exact ``repr``
     equality.  (The pre-PR-7 version descended a single level, so a list
     of per-agent float vectors — e.g. nested averages — spuriously

@@ -169,14 +169,12 @@ def _exact_job(algorithm, network, inputs, target, rounds, label="") -> BatchJob
 
 
 def _run_exact(
-    algorithm, network, inputs, target, rounds, plan_cache=None, quotient=None,
-    vector=None,
+    algorithm, network, inputs, target, rounds, plan_cache=None, quotient=None
 ) -> bool:
     (result,) = run_batch(
         [_exact_job(algorithm, network, inputs, target, rounds)],
         plan_cache=plan_cache,
         quotient=quotient,
-        vector=vector,
     )
     return result.converged
 
@@ -271,7 +269,6 @@ def run_static_cell(
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> CellResult:
     """Reproduce one Table 1 cell experimentally.
 
@@ -279,9 +276,8 @@ def run_static_cell(
     shared ``plan_cache``, so the cell's graph is compiled into a
     delivery plan once for every probe that runs on it.  ``quotient``
     opts the probes into (or out of) quotient-accelerated execution;
-    ``None`` defers to ``REPRO_QUOTIENT``.  ``vector`` does the same for
-    the vectorized numpy backend (``REPRO_VECTOR``).  Cell results and
-    manifests are identical in every mode.
+    ``None`` defers to ``REPRO_QUOTIENT``.  Cell results and manifests
+    are identical in either mode.
     """
     expected = computable_class(model, knowledge, dynamic=False)
     details: List[str] = []
@@ -300,7 +296,6 @@ def run_static_cell(
             _STATIC_ROUNDS,
             plan_cache=plan_cache,
             quotient=quotient,
-            vector=vector,
         )
         details.append(f"max via gossip: {'ok' if got_max else 'FAILED'}")
         refuted_freq = _broadcast_refutation(AVERAGE, knowledge)
@@ -330,7 +325,6 @@ def run_static_cell(
         ],
         plan_cache=plan_cache,
         quotient=quotient,
-        vector=vector,
     )
     verdicts = {r.label: r.converged for r in results}
     got_max, got_avg = verdicts["max"], verdicts["average"]
@@ -365,7 +359,6 @@ def run_dynamic_cell(
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> CellResult:
     """Reproduce one Table 2 cell experimentally.
 
@@ -385,7 +378,7 @@ def run_dynamic_cell(
         got_max = _run_exact(GossipAlgorithm(max), dyn,
                              [v[0] for v in run_inputs] if leader else run_inputs,
                              MAXIMUM(inputs), _STATIC_ROUNDS, plan_cache=plan_cache,
-                             quotient=quotient, vector=vector)
+                             quotient=quotient)
         refuted_freq = _broadcast_refutation(AVERAGE, knowledge)
         details.append(f"max via gossip: {'ok' if got_max else 'FAILED'}")
         details.append(
@@ -421,7 +414,6 @@ def run_dynamic_cell(
             ],
             plan_cache=plan_cache,
             quotient=quotient,
-            vector=vector,
         )
         got_max, avg_report = max_result.converged, avg_result.report
         refuted_sum = _sum_refutation(model)
@@ -484,7 +476,6 @@ def run_dynamic_cell(
         ],
         plan_cache=plan_cache,
         quotient=quotient,
-        vector=vector,
     )
     verdicts = {r.label: r.converged for r in results}
     got_max, got_avg = verdicts["max"], verdicts["average"]
@@ -536,24 +527,22 @@ def compute_cell(
     plan_cache: Optional[PlanCache] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> CellResult:
     """One table cell, served from the durable result store when warm.
 
     ``store`` is a :class:`repro.store.cache.ResultStore` (or ``None``
     for compute-always).  Store keys bind the cell parameters *and* the
     engine generation; a corrupted entry is quarantined and recomputed,
-    never served.  ``quotient`` and ``vector`` are deliberately *not*
-    part of the store key: accelerated and direct probes produce
-    byte-identical payloads (the Lifting lemma's contract and the vector
-    backend's faithfulness contract, both pinned by the property suite),
-    so any mode may serve another's cache.
+    never served.  ``quotient`` is deliberately *not* part of the store
+    key: accelerated and direct probes produce byte-identical payloads
+    (the Lifting lemma's contract, pinned by the property suite), so
+    either mode may serve the other's cache.
     """
     def compute() -> CellResult:
         runner = run_dynamic_cell if dynamic else run_static_cell
         return runner(
             model, knowledge, n=n, seed=seed, plan_cache=plan_cache,
-            quotient=quotient, vector=vector,
+            quotient=quotient,
         )
 
     if store is None:
@@ -579,22 +568,17 @@ def compute_cell(
 def _cell_task(spec) -> CellResult:
     """One table cell from a picklable spec — the unit the pool fans out.
 
-    The spec optionally carries a store root (sixth element) so pool
-    workers consult and fill the same on-disk result store the parent
-    uses (atomic writes make concurrent fills safe), the quotient
-    override (seventh element), and the vector override (eighth)."""
-    dynamic, model, knowledge, n, seed = spec[:5]
+    The spec is the cell's :func:`table_specs` entry plus a store root
+    (``None`` for no store) so pool workers consult and fill the same
+    on-disk result store the parent uses (atomic writes make concurrent
+    fills safe), and the quotient override."""
+    dynamic, model, knowledge, n, seed, root, quotient = spec
     store = None
-    if len(spec) > 5 and spec[5]:
+    if root:
         from repro.store.cache import ResultStore
 
-        store = ResultStore(spec[5])
-    quotient = spec[6] if len(spec) > 6 else None
-    vector = spec[7] if len(spec) > 7 else None
-    return compute_cell(
-        dynamic, model, knowledge, n, seed, store=store, quotient=quotient,
-        vector=vector,
-    )
+        store = ResultStore(root)
+    return compute_cell(dynamic, model, knowledge, n, seed, store=store, quotient=quotient)
 
 
 def _run_cells(
@@ -603,7 +587,6 @@ def _run_cells(
     workers: Optional[int],
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> List[CellResult]:
     """Run table cells sequentially (one shared plan cache) or fanned
     across a process pool (each worker keeps its own cache); ``store``
@@ -616,13 +599,13 @@ def _run_cells(
     if parallel:
         root = getattr(store, "root", None)
         return parallel_map(
-            _cell_task, [s + (root, quotient, vector) for s in specs], workers=workers
+            _cell_task, [s + (root, quotient) for s in specs], workers=workers
         )
     plan_cache = PlanCache()
     return [
         compute_cell(
             dynamic, model, knowledge, n, seed, plan_cache=plan_cache, store=store,
-            quotient=quotient, vector=vector,
+            quotient=quotient,
         )
         for dynamic, model, knowledge, n, seed in specs
     ]
@@ -635,7 +618,6 @@ def reproduce_table1(
     workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> List[CellResult]:
     """Run all 16 static cells.
 
@@ -653,14 +635,12 @@ def reproduce_table1(
 
     ``quotient=True`` runs every probe quotient-accelerated (identical
     cells, faster rounds on symmetric probe graphs); ``None`` defers to
-    ``REPRO_QUOTIENT``.  ``vector=True`` runs kernel-backed probes on the
-    vectorized numpy engine instead (``None`` defers to
-    ``REPRO_VECTOR``)."""
+    ``REPRO_QUOTIENT``."""
     from repro.store.cache import resolve_store
 
     return _run_cells(
         table_specs(False, n, seed), parallel, workers, store=resolve_store(store),
-        quotient=quotient, vector=vector,
+        quotient=quotient,
     )
 
 
@@ -671,18 +651,15 @@ def reproduce_table2(
     workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> List[CellResult]:
-    """Run all 12 dynamic cells; same ``parallel``/``store``/``quotient``/
-    ``vector`` contract as :func:`reproduce_table1` (quotient probes fall
-    back to direct execution on dynamic graphs — the knobs are still
-    honored for the static refutation probes and the kernel-backed
-    dynamic probes)."""
+    """Run all 12 dynamic cells; same ``parallel``/``store``/``quotient``
+    contract as :func:`reproduce_table1` (quotient probes fall back to
+    direct execution on dynamic graphs)."""
     from repro.store.cache import resolve_store
 
     return _run_cells(
         table_specs(True, n, seed), parallel, workers, store=resolve_store(store),
-        quotient=quotient, vector=vector,
+        quotient=quotient,
     )
 
 
@@ -694,7 +671,6 @@ def paper_table_document(
     workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[str, Any]:
     """The deterministic document of one paper table — the generic,
@@ -707,7 +683,7 @@ def paper_table_document(
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
     ``reproduce_table1`` call all emit byte-identical documents (engine
-    modes included: quotient/vector/parallel change how cells are
+    modes included: quotient/parallel change how cells are
     computed, never their payloads).
 
     ``progress(done, total)`` — when given — forces the sequential
@@ -725,9 +701,7 @@ def paper_table_document(
     store = resolve_store(store)
     specs = table_specs(dynamic, n, seed)
     if progress is None:
-        results = _run_cells(
-            specs, parallel, workers, store=store, quotient=quotient, vector=vector
-        )
+        results = _run_cells(specs, parallel, workers, store=store, quotient=quotient)
     else:
         plan_cache = PlanCache()
         results = []
@@ -736,7 +710,6 @@ def paper_table_document(
                 compute_cell(
                     dyn, model, knowledge, cell_n, cell_seed,
                     plan_cache=plan_cache, store=store, quotient=quotient,
-                    vector=vector,
                 )
             )
             progress(done, len(specs))

@@ -57,12 +57,6 @@ class BatchJob:
     #: results are identical either way — only the speed changes.
     quotient: Optional[bool] = None
     quotient_ratio: Optional[float] = None
-    #: ``True``/``False`` forces the vectorized numpy backend on/off for
-    #: this job; ``None`` defers to ``REPRO_VECTOR=1`` in the environment.
-    #: Vector runs fall back to the object stepper whenever the algorithm
-    #: has no registered kernel (see :mod:`repro.core.engine.vector`), and
-    #: an active ``quotient`` wins when both are requested.
-    vector: Optional[bool] = None
     runner: str = "rounds"
     rounds: int = 0
     patience: int = 5
@@ -132,14 +126,10 @@ def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
     from repro.core.metrics import euclidean_metric
 
     from repro.core.engine.quotient import quotient_enabled_by_env
-    from repro.core.engine.vector import vector_enabled_by_env
 
     quotient = job.quotient
     if quotient is None:
         quotient = quotient_enabled_by_env()
-    vector = job.vector
-    if vector is None:
-        vector = vector_enabled_by_env()
     execution = Execution(
         job.algorithm,
         job.network,
@@ -149,7 +139,6 @@ def _execute_job(job: BatchJob, cache: PlanCache) -> BatchResult:
         check_model=job.check_model,
         quotient=quotient,
         quotient_ratio=job.quotient_ratio,
-        vector=vector,
     )
     execution.share_plan_cache(cache)
     plan_hooks = []
@@ -206,7 +195,6 @@ def run_batch(
     job_timeout: Optional[float] = None,
     chunk_size: Optional[int] = None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> List[BatchResult]:
     """Run every job, sharing compiled delivery plans across the batch.
 
@@ -225,21 +213,15 @@ def run_batch(
     ``quotient`` (``True``/``False``) overrides the quotient-execution
     default for every job that did not set its own ``BatchJob.quotient``;
     ``None`` leaves the per-job settings (and thus the ``REPRO_QUOTIENT``
-    environment default) in force.  ``vector`` does the same for the
-    vectorized backend and ``BatchJob.vector`` / ``REPRO_VECTOR``.
+    environment default) in force.
     """
-    if quotient is not None or vector is not None:
+    if quotient is not None:
         from dataclasses import replace
 
-        def _overridden(job: BatchJob) -> BatchJob:
-            overrides = {}
-            if quotient is not None and job.quotient is None:
-                overrides["quotient"] = quotient
-            if vector is not None and job.vector is None:
-                overrides["vector"] = vector
-            return replace(job, **overrides) if overrides else job
-
-        jobs = [_overridden(job) for job in jobs]
+        jobs = [
+            replace(job, quotient=quotient) if job.quotient is None else job
+            for job in jobs
+        ]
     if parallel is None:
         parallel = parallel_enabled_by_env()
     if parallel:

@@ -46,7 +46,6 @@ class DeliveryPlan:
         "source_ports",
         "all_self_loops",
         "_symmetric",
-        "_csr",
     )
 
     def __init__(self, graph: DiGraph):
@@ -67,11 +66,6 @@ class DeliveryPlan:
                 loops[e.source] = True
         self.all_self_loops: bool = all(loops)
         self._symmetric: Optional[bool] = None
-        # Lazily attached by repro.core.engine.vector.csr_for: the same
-        # delivery schedule as flat numpy index arrays.  Kept on the plan
-        # so CSR compilation amortizes exactly like the plan itself does
-        # (once per distinct graph, shared through the memo layer).
-        self._csr = None
 
     @property
     def symmetric(self) -> bool:

@@ -151,9 +151,7 @@ class QuotientExecution(Execution):
         *,
         quotient: bool = True,
         quotient_ratio: Optional[float] = None,
-        vector: bool = False,
     ):
-        del vector  # quotient takes precedence when both are requested
         super().__init__(
             algorithm,
             network,

@@ -63,16 +63,6 @@ class Execution:
         execution when the Lifting lemma does not apply; see that module
         for the activation rules).  ``quotient_ratio`` overrides its
         base-size activation threshold.
-    vector:
-        ``Execution(..., vector=True)`` constructs a
-        :class:`~repro.core.engine.vector.VectorExecution` instead — same
-        façade, same trajectory, but rounds run as numpy kernels for the
-        algorithm families that have one (set flooding, Push-Sum and its
-        variants, Metropolis), falling back to the object stepper for
-        everything else.  When ``quotient`` is also requested it takes
-        precedence (a quotient-active run already simulates only the
-        base; vectorizing it too buys little and would double the state
-        bookkeeping).
     """
 
     def __new__(
@@ -80,7 +70,6 @@ class Execution:
         *args: Any,
         quotient: bool = False,
         quotient_ratio: Optional[float] = None,
-        vector: bool = False,
         **kwargs: Any,
     ):
         if cls is Execution and quotient:
@@ -88,10 +77,6 @@ class Execution:
             from repro.core.engine.quotient import QuotientExecution
 
             return super().__new__(QuotientExecution)
-        if cls is Execution and vector:
-            from repro.core.engine.vector import VectorExecution
-
-            return super().__new__(VectorExecution)
         return super().__new__(cls)
 
     def __init__(
@@ -105,9 +90,8 @@ class Execution:
         *,
         quotient: bool = False,
         quotient_ratio: Optional[float] = None,
-        vector: bool = False,
     ):
-        del quotient, quotient_ratio, vector  # consumed by __new__ / the subclass
+        del quotient, quotient_ratio  # consumed by __new__ / the subclass
         self.algorithm = algorithm
         if isinstance(network, DiGraph):
             self.network: DynamicGraph = StaticAsDynamic(network)

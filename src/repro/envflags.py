@@ -1,7 +1,7 @@
 """One parser for every ``REPRO_*`` boolean environment switch.
 
 The engine grew its feature flags one at a time — ``REPRO_PARALLEL``,
-``REPRO_MEMO``, ``REPRO_QUOTIENT``, now ``REPRO_VECTOR`` — and each site
+``REPRO_MEMO``, ``REPRO_QUOTIENT`` — and each site
 initially parsed the variable by hand, which is how ``REPRO_PARALLEL=0``
 came to *enable* nothing while ``REPRO_MEMO=0`` *disabled* something and
 ``REPRO_QUOTIENT=false`` silently meant "off" only because it wasn't the

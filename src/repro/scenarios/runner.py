@@ -80,7 +80,6 @@ def compute_grid_row(
     plan_cache: Optional[PlanCache] = None,
     store=None,
     quotient: Optional[bool] = None,
-    vector: Optional[bool] = None,
     on_trace: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]], None]] = None,
 ) -> Dict[str, Any]:
     """One grid unit: build the graph and inputs, run the probe under the
@@ -118,9 +117,7 @@ def compute_grid_row(
 
             tracer = Tracer()
             job.observers.append(tracer)
-        (result,) = run_batch(
-            [job], plan_cache=plan_cache, quotient=quotient, vector=vector
-        )
+        (result,) = run_batch([job], plan_cache=plan_cache, quotient=quotient)
         if tracer is not None:
             on_trace(
                 {"graph": family, "n": n, "seed": seed, "probe": probe_name},
@@ -165,16 +162,13 @@ def _grid_task(spec) -> Dict[str, Any]:
     Mirrors :func:`repro.analysis.tables._cell_task`: workers open the
     same on-disk store by root (atomic writes make concurrent fills
     safe) and keep their own plan caches."""
-    scenario, family, n, seed, probe, store_root, quotient, vector = spec
+    scenario, family, n, seed, probe, store_root, quotient = spec
     store = None
     if store_root:
         from repro.store.cache import ResultStore
 
         store = ResultStore(store_root)
-    return compute_grid_row(
-        scenario, family, n, seed, probe, store=store, quotient=quotient,
-        vector=vector,
-    )
+    return compute_grid_row(scenario, family, n, seed, probe, store=store, quotient=quotient)
 
 
 def scenario_document(scenario: Scenario, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -231,7 +225,6 @@ def run_scenario(
             workers=engine.workers,
             store=store,
             quotient=engine.quotient,
-            vector=engine.vector,
             progress=progress,
         )
 
@@ -248,7 +241,7 @@ def run_scenario(
         rows = parallel_map(
             _grid_task,
             [
-                (scenario, family, n, seed, probe, root, engine.quotient, engine.vector)
+                (scenario, family, n, seed, probe, root, engine.quotient)
                 for family, n, seed, probe in units
             ],
             workers=engine.workers,
@@ -260,8 +253,7 @@ def run_scenario(
             rows.append(
                 compute_grid_row(
                     scenario, family, n, seed, probe, plan_cache=plan_cache,
-                    store=store, quotient=engine.quotient, vector=engine.vector,
-                    on_trace=on_trace,
+                    store=store, quotient=engine.quotient, on_trace=on_trace,
                 )
             )
             if progress is not None:

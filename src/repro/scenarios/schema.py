@@ -13,7 +13,7 @@ workload.  Two kinds exist:
   document) and ``output.title``.
 
 Both kinds take an optional ``engine`` block (``parallel`` / ``workers``
-/ ``quotient`` / ``vector``) selecting *how* the scenario runs, never
+/ ``quotient``) selecting *how* the scenario runs, never
 what it computes: engine flags are excluded from :meth:`Scenario.identity`
 — and hence from store keys and emitted documents — so every engine mode
 produces byte-identical output.
@@ -39,24 +39,23 @@ _TABLE_KEYS = frozenset({"table", "n", "seed"})
 _GRID_KEYS = frozenset(
     {"model", "knowledge", "rounds", "seeds", "graphs", "probes", "inputs"}
 )
-_ENGINE_KEYS = frozenset({"parallel", "workers", "quotient", "vector"})
+_ENGINE_KEYS = frozenset({"parallel", "workers", "quotient"})
 _OUTPUT_KEYS = frozenset({"title"})
 
 
 @dataclass(frozen=True)
 class EngineFlags:
     """How a scenario executes.  ``None`` defers to the environment
-    defaults (``REPRO_PARALLEL`` / ``REPRO_QUOTIENT`` / ``REPRO_VECTOR``),
-    exactly like the harness entry points."""
+    defaults (``REPRO_PARALLEL`` / ``REPRO_QUOTIENT``), exactly like the
+    harness entry points."""
 
     parallel: Optional[bool] = None
     workers: Optional[int] = None
     quotient: Optional[bool] = None
-    vector: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
-        for name in ("parallel", "workers", "quotient", "vector"):
+        for name in ("parallel", "workers", "quotient"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -97,7 +96,7 @@ class Scenario:
         """The canonical parameter dict — everything that determines the
         scenario's *results*, nothing that only picks an engine mode.
         This is what store keys and emitted documents are built from, so
-        object, vector-fallback, quotient, and parallel runs of the same
+        object, quotient, and parallel runs of the same
         config share one cache and one byte-exact document."""
         if self.kind == "table":
             return {
@@ -178,7 +177,7 @@ def _validate_engine(raw: Any, source) -> EngineFlags:
                 f"unknown engine flag; known flags: {', '.join(sorted(_ENGINE_KEYS))}",
             )
     flags: Dict[str, Any] = {}
-    for name in ("parallel", "quotient", "vector"):
+    for name in ("parallel", "quotient"):
         if name in raw:
             value = raw[name]
             if not isinstance(value, bool):
@@ -186,13 +185,6 @@ def _validate_engine(raw: Any, source) -> EngineFlags:
             flags[name] = value
     if "workers" in raw and raw["workers"] is not None:
         flags["workers"] = _int_in(source, "engine.workers", raw["workers"], 1)
-    if flags.get("quotient") and flags.get("vector"):
-        _fail(
-            source,
-            "engine",
-            "engine.quotient and engine.vector cannot both be forced on — "
-            "a quotient-active run already simulates only the base; pick one",
-        )
     if flags.get("workers") is not None and flags.get("parallel") is False:
         _fail(
             source,

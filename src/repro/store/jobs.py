@@ -145,18 +145,16 @@ def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> st
     dynamic = record.kind == "table2"
     n = int(record.params.get("n", 5 if dynamic else 6))
     seed = int(record.params.get("seed", 0))
-    # Quotient/vector acceleration changes how cells are computed, never
-    # what they contain, so both ride in the job params but stay out of
-    # the document key / cell store keys — warm caches serve every mode.
+    # Quotient acceleration changes how cells are computed, never what
+    # they contain, so it rides in the job params but stays out of the
+    # document key / cell store keys — warm caches serve either mode.
     quotient = record.params.get("quotient")
-    vector = record.params.get("vector")
     specs = table_specs(dynamic, n, seed)
     log = JobEventLog(store.root)
     payloads: List[Dict[str, Any]] = []
     for done, (dyn, model, knowledge, cell_n, cell_seed) in enumerate(specs, start=1):
         result = compute_cell(
-            dyn, model, knowledge, cell_n, cell_seed, store=store, quotient=quotient,
-            vector=vector,
+            dyn, model, knowledge, cell_n, cell_seed, store=store, quotient=quotient
         )
         payloads.append(cell_to_payload(result))
         _unit_progress(queue, log, record, done, len(specs))
@@ -181,7 +179,6 @@ def _run_certificate_job(queue: JobQueue, store: ResultStore, record: JobRecord)
         parallel=False,
         store=store,
         quotient=record.params.get("quotient"),
-        vector=record.params.get("vector"),
     )
     params = {"n": n, "seed": seed}
     key = document_key("certificate", params)
@@ -225,16 +222,11 @@ def _run_scenario_job(queue: JobQueue, store: ResultStore, record: JobRecord) ->
     scenario = validate_scenario(
         record.params.get("config"), source=f"job:{record.id}"
     )
-    # --quotient / --vector on submit ride beside the config, like the
-    # table jobs; the config's own engine block wins when both are set.
-    overrides = {
-        flag: True
-        for flag in ("quotient", "vector")
-        if record.params.get(flag) and getattr(scenario.engine, flag) is None
-    }
-    if overrides:
+    # --quotient on submit rides beside the config, like the table jobs;
+    # the config's own engine block wins when both are set.
+    if record.params.get("quotient") and scenario.engine.quotient is None:
         scenario = dataclasses.replace(
-            scenario, engine=dataclasses.replace(scenario.engine, **overrides)
+            scenario, engine=dataclasses.replace(scenario.engine, quotient=True)
         )
 
     log = JobEventLog(store.root)
@@ -271,6 +263,8 @@ def _run_scenario_job(queue: JobQueue, store: ResultStore, record: JobRecord) ->
 def _noop_params(params: Dict[str, Any]) -> Dict[str, Any]:
     """A noop's identity: its params minus the engine-acceleration flags
     (which, as for tables, change nothing about the output)."""
+    # "vector" named a since-removed backend; jobs recorded with it keep
+    # their document key.
     return {k: v for k, v in params.items() if k not in ("quotient", "vector")}
 
 

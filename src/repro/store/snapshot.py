@@ -249,10 +249,6 @@ def snapshot_execution(execution) -> Snapshot:
         quotient = {"base_n": mb.base.n, "classes": list(mb.classes)}
         stepper = execution.base_execution._stepper
     else:
-        if getattr(execution, "vector_active", False):
-            # Vector runs snapshot their object-level states; the packed
-            # arrays are a pure function of them and rebuild on restore.
-            execution._materialize()
         stepper = execution._stepper
     rng = stepper._rng
     blob = encode_states(stepper.states)
@@ -328,8 +324,6 @@ def restore_execution(execution, snapshot: Snapshot) -> Any:
         )
     stepper.states = snapshot.states()
     stepper.round_number = snapshot.round_number
-    if getattr(execution, "vector_active", False):
-        execution._repack()
     if snapshot.rng_state is not None:
         stepper._rng.setstate(_rng_state_from_json(snapshot.rng_state))
     restorable = [o for o in stepper.observers if isinstance(o, Tracer)]

@@ -198,20 +198,6 @@ class TestConsumers:
             monkeypatch.setenv("REPRO_QUOTIENT", raw)
             assert quotient_enabled_by_env() is True
 
-    @pytest.mark.parametrize("raw", ["0", "false", ""])
-    def test_vector_disable_spellings(self, monkeypatch, raw):
-        from repro.core.engine.vector import vector_enabled_by_env
-
-        monkeypatch.setenv("REPRO_VECTOR", raw)
-        assert vector_enabled_by_env() is False
-
-    def test_vector_enable_spellings(self, monkeypatch):
-        from repro.core.engine.vector import vector_enabled_by_env
-
-        for raw in ("1", "yes", "ON"):
-            monkeypatch.setenv("REPRO_VECTOR", raw)
-            assert vector_enabled_by_env() is True
-
     def test_store_env_empty_means_no_store(self, monkeypatch):
         from repro.store.cache import STORE_ENV, default_store
 

@@ -11,14 +11,13 @@ audience" axis.  These properties pin its engine contract:
   interpreter across static and dynamic networks;
 * snapshot/restore round-trips resume on the exact trajectory;
 * attaching a tracer never perturbs the run;
-* the vector backend falls back transparently (no one-bit kernel is
-  registered) and the quotient backend refuses to activate (the model is
-  not outdegree-message-preserving), both with identical results;
+* the quotient backend refuses to activate (the model is not
+  outdegree-message-preserving), with identical results;
 * anything outside {0, 1} on the wire is rejected, identically, by the
   engine and the reference interpreter.
 
-``REPRO_VECTOR`` / ``REPRO_PARALLEL`` reruns of this file in CI exercise
-the same assertions through the engine's other defaults.
+``REPRO_PARALLEL`` reruns of this file in CI exercise the same
+assertions through the engine's other default.
 """
 
 import pytest
@@ -153,21 +152,6 @@ class TestSnapshotAndTrace:
 # ---------------------------------------------------------------------- #
 
 class TestBackendFallbacks:
-    def test_vector_falls_back_no_kernel(self):
-        from repro.core.engine.vector import clear_vector_stats, vector_stats
-
-        g = random_strongly_connected(6, seed=3)
-        inputs = _inputs(6, 3)
-        clear_vector_stats()
-        direct = Execution(OneBitCensusAlgorithm(), g, inputs=inputs)
-        vec = Execution(OneBitCensusAlgorithm(), g, inputs=inputs, vector=True)
-        assert not vec.vector_active
-        assert vec.vector_fallback_reason == "no-kernel"
-        assert vector_stats()["fallback_reasons"].get("no-kernel", 0) >= 1
-        direct.run(ROUNDS)
-        vec.run(ROUNDS)
-        assert vec.states == direct.states
-
     def test_quotient_refuses_one_bit_model(self):
         from repro.core.engine.quotient import clear_quotient_stats, quotient_stats
 
@@ -198,7 +182,6 @@ class TestBackendFallbacks:
             ]
 
         base = [r.outputs for r in run_batch(jobs(), parallel=False)]
-        assert [r.outputs for r in run_batch(jobs(), vector=True)] == base
         assert [r.outputs for r in run_batch(jobs(), quotient=True)] == base
         assert [
             r.outputs for r in run_batch(jobs(), parallel=True, workers=2)

@@ -3,7 +3,7 @@
 Pins the DSL's execution-side contracts:
 
 * one config, one document — byte-identical across the object engine,
-  the vector fallback, the quotient fallback, and the process pool;
+  the quotient fallback, and the process pool;
 * the result store serves warm rows without changing a byte;
 * ``python -m repro run`` exits 0/1 on PASS/FAIL verdicts and 2 on
   config errors, with a one-line diagnostic instead of a traceback;
@@ -58,7 +58,6 @@ class TestEngineModeByteIdentity:
         scenario = small_grid(tmp_path)
         base = document_bytes(run_scenario(scenario))
         for flags in (
-            EngineFlags(vector=True),
             EngineFlags(quotient=True),
             EngineFlags(parallel=True, workers=2),
         ):
@@ -67,7 +66,7 @@ class TestEngineModeByteIdentity:
 
     def test_identity_excludes_engine_flags(self, tmp_path):
         scenario = small_grid(tmp_path)
-        forced = dataclasses.replace(scenario, engine=EngineFlags(vector=True))
+        forced = dataclasses.replace(scenario, engine=EngineFlags(quotient=True))
         assert forced.identity() == scenario.identity()
         assert forced.normalized() != scenario.normalized()
 
@@ -108,8 +107,8 @@ class TestStore:
         store = ResultStore(tmp_path / "store")
         run_scenario(scenario, store=store)
         puts = store.puts
-        vectored = dataclasses.replace(scenario, engine=EngineFlags(vector=True))
-        run_scenario(vectored, store=store)
+        quotiented = dataclasses.replace(scenario, engine=EngineFlags(quotient=True))
+        run_scenario(quotiented, store=store)
         assert store.puts == puts  # every row served, none recomputed
 
 

@@ -160,18 +160,22 @@ class TestEngineFlagViolations:
 
     def test_engine_flag_must_be_boolean(self):
         raw = good_table()
-        raw["engine"] = {"vector": "yes"}
-        fails_on(raw, "engine.vector")
+        raw["engine"] = {"quotient": "yes"}
+        fails_on(raw, "engine.quotient")
 
     def test_workers_must_be_positive(self):
         raw = good_table()
         raw["engine"] = {"parallel": True, "workers": 0}
         fails_on(raw, "engine.workers")
 
-    def test_quotient_and_vector_cannot_both_force_on(self):
+    def test_vector_flag_is_unknown(self):
+        # The numpy vector backend was removed; configs that still force
+        # it on are rejected, not silently run on the object engine.
+        flag = "vector"
         raw = good_table()
-        raw["engine"] = {"quotient": True, "vector": True}
-        assert "cannot both be forced on" in fails_on(raw, "engine")
+        raw["engine"] = {"quotient": True, flag: True}
+        message = fails_on(raw, f"engine.{flag}")
+        assert "known flags: parallel, quotient, workers" in message
 
     def test_workers_without_parallel_rejected(self):
         raw = good_table()
