@@ -102,11 +102,7 @@ def trace_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.algorithms import GossipAlgorithm, PushSumAlgorithm
-    from repro.analysis.provenance import (
-        Manifest,
-        current_backend,
-        network_fingerprint,
-    )
+    from repro.analysis.provenance import Manifest, network_fingerprint
     from repro.core.engine.quotient import publish_quotient_metrics, quotient_stats
     from repro.core.engine.trace import trace_execution, write_jsonl
     from repro.core.execution import Execution
@@ -186,7 +182,7 @@ def trace_main(argv=None) -> int:
         n=n,
         rounds=args.rounds,
         graph_hash=network_fingerprint(network),
-        backend=current_backend(),
+        backend="sequential",
         extra=extra,
     )
     events = list(tracer.events) + [tracer.summary_event()]
@@ -688,17 +684,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=6, help="network size for the probes")
     parser.add_argument("--seed", type=int, default=0, help="random-graph seed")
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the table cells across a process pool",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool size for --parallel (default: one per CPU)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit a machine-readable reproduction certificate instead of tables",
@@ -721,35 +706,20 @@ def main(argv=None) -> int:
         doc = reproduction_certificate(
             n=args.n,
             seed=args.seed,
-            parallel=True if args.parallel else None,
-            workers=args.workers,
             quotient=True if args.quotient else None,
         )
         print(json.dumps(doc, indent=2))
         return 0 if doc["summary"]["verdict"] == "PASS" else 1
 
-    parallel = True if args.parallel else None  # None keeps the env default
     quotient = True if args.quotient else None  # None keeps the env default
     failures = 0
     if args.table in ("1", "both"):
-        results = reproduce_table1(
-            n=args.n,
-            seed=args.seed,
-            parallel=parallel,
-            workers=args.workers,
-            quotient=quotient,
-        )
+        results = reproduce_table1(n=args.n, seed=args.seed, quotient=quotient)
         print(format_results(results, "Table 1 — static strongly connected networks"))
         failures += sum(not r.consistent for r in results)
         print()
     if args.table in ("2", "both"):
-        results = reproduce_table2(
-            n=min(args.n, 6),
-            seed=args.seed,
-            parallel=parallel,
-            workers=args.workers,
-            quotient=quotient,
-        )
+        results = reproduce_table2(n=min(args.n, 6), seed=args.seed, quotient=quotient)
         print(format_results(results, "Table 2 — dynamic networks with finite dynamic diameter"))
         failures += sum(not r.consistent for r in results)
         print()

@@ -19,7 +19,6 @@ from repro.analysis.certificate import (
 )
 from repro.analysis.provenance import (
     Manifest,
-    current_backend,
     graph_fingerprint,
     network_fingerprint,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "bandwidth_curve",
     "bandwidth_sweep",
     "certificate_json",
-    "current_backend",
     "demonstrate_collapse",
     "frequency_counterexample",
     "graph_fingerprint",

@@ -565,67 +565,39 @@ def compute_cell(
     )
 
 
-def _cell_task(spec) -> CellResult:
-    """One table cell from a picklable spec — the unit the pool fans out.
-
-    The spec is the cell's :func:`table_specs` entry plus a store root
-    (``None`` for no store) so pool workers consult and fill the same
-    on-disk result store the parent uses (atomic writes make concurrent
-    fills safe), and the quotient override."""
-    dynamic, model, knowledge, n, seed, root, quotient = spec
-    store = None
-    if root:
-        from repro.store.cache import ResultStore
-
-        store = ResultStore(root)
-    return compute_cell(dynamic, model, knowledge, n, seed, store=store, quotient=quotient)
-
-
 def _run_cells(
     specs,
-    parallel: Optional[bool],
-    workers: Optional[int],
     store=None,
     quotient: Optional[bool] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[CellResult]:
-    """Run table cells sequentially (one shared plan cache) or fanned
-    across a process pool (each worker keeps its own cache); ``store``
-    short-circuits already-computed cells from disk either way."""
-    from repro.core.engine.batch import parallel_enabled_by_env
-    from repro.core.engine.parallel import parallel_map
-
-    if parallel is None:
-        parallel = parallel_enabled_by_env()
-    if parallel:
-        root = getattr(store, "root", None)
-        return parallel_map(
-            _cell_task, [s + (root, quotient) for s in specs], workers=workers
-        )
+    """Run table cells in order on one shared plan cache; ``store``
+    short-circuits already-computed cells from disk, and
+    ``progress(done, total)`` — when given — runs after every cell."""
     plan_cache = PlanCache()
-    return [
-        compute_cell(
-            dynamic, model, knowledge, n, seed, plan_cache=plan_cache, store=store,
-            quotient=quotient,
+    results = []
+    for done, (dynamic, model, knowledge, n, seed) in enumerate(specs, start=1):
+        results.append(
+            compute_cell(
+                dynamic, model, knowledge, n, seed, plan_cache=plan_cache, store=store,
+                quotient=quotient,
+            )
         )
-        for dynamic, model, knowledge, n, seed in specs
-    ]
+        if progress is not None:
+            progress(done, len(specs))
+    return results
 
 
 def reproduce_table1(
     n: int = 6,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
 ) -> List[CellResult]:
     """Run all 16 static cells.
 
-    Sequentially (default) the cells share one plan cache, so cells
-    probing the same graph reuse its compiled delivery schedule;
-    ``parallel=True`` fans independent cells across a process pool
-    instead (``workers`` defaults to one per CPU).  ``parallel=None``
-    resolves to the ``REPRO_PARALLEL=1`` environment switch.
+    The cells share one plan cache, so cells probing the same graph
+    reuse its compiled delivery schedule.
 
     ``store`` makes the table durable: pass a
     :class:`repro.store.cache.ResultStore` (or a path) and every cell is
@@ -638,37 +610,27 @@ def reproduce_table1(
     ``REPRO_QUOTIENT``."""
     from repro.store.cache import resolve_store
 
-    return _run_cells(
-        table_specs(False, n, seed), parallel, workers, store=resolve_store(store),
-        quotient=quotient,
-    )
+    return _run_cells(table_specs(False, n, seed), store=resolve_store(store), quotient=quotient)
 
 
 def reproduce_table2(
     n: int = 5,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
 ) -> List[CellResult]:
-    """Run all 12 dynamic cells; same ``parallel``/``store``/``quotient``
+    """Run all 12 dynamic cells; same ``store``/``quotient``
     contract as :func:`reproduce_table1` (quotient probes fall back to
     direct execution on dynamic graphs)."""
     from repro.store.cache import resolve_store
 
-    return _run_cells(
-        table_specs(True, n, seed), parallel, workers, store=resolve_store(store),
-        quotient=quotient,
-    )
+    return _run_cells(table_specs(True, n, seed), store=resolve_store(store), quotient=quotient)
 
 
 def paper_table_document(
     table: int,
     n: Optional[int] = None,
     seed: int = 0,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     store=None,
     quotient: Optional[bool] = None,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -683,12 +645,12 @@ def paper_table_document(
     :func:`cell_to_payload` records, in :func:`table_specs` order — so a
     scenario config, a ``store submit table1`` job, and a direct
     ``reproduce_table1`` call all emit byte-identical documents (engine
-    modes included: quotient/parallel change how cells are
-    computed, never their payloads).
+    modes included: quotient changes how cells are computed, never
+    their payloads).
 
-    ``progress(done, total)`` — when given — forces the sequential
-    cell-by-cell path and is invoked after every finished cell; the
-    durable scenario job runner heartbeats its queue lease there.
+    ``progress(done, total)`` — when given — is invoked after every
+    finished cell; the durable job runners heartbeat their queue lease
+    there.
     """
     from repro.store.cache import resolve_store
     from repro.store.jobs import table_document
@@ -699,20 +661,9 @@ def paper_table_document(
     if n is None:
         n = 5 if dynamic else 6
     store = resolve_store(store)
-    specs = table_specs(dynamic, n, seed)
-    if progress is None:
-        results = _run_cells(specs, parallel, workers, store=store, quotient=quotient)
-    else:
-        plan_cache = PlanCache()
-        results = []
-        for done, (dyn, model, knowledge, cell_n, cell_seed) in enumerate(specs, start=1):
-            results.append(
-                compute_cell(
-                    dyn, model, knowledge, cell_n, cell_seed,
-                    plan_cache=plan_cache, store=store, quotient=quotient,
-                )
-            )
-            progress(done, len(specs))
+    results = _run_cells(
+        table_specs(dynamic, n, seed), store=store, quotient=quotient, progress=progress
+    )
     return table_document(
         f"table{table}", n, seed, [cell_to_payload(r) for r in results]
     )

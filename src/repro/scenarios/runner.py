@@ -8,8 +8,7 @@ durable table jobs — the golden-config tests pin exactly that.
 A ``"grid"`` scenario compiles each (graph family × size × seed × probe)
 unit to one :class:`~repro.core.engine.batch.BatchJob` driven by the δ0
 detector, sharing one :class:`~repro.core.engine.plan.PlanCache` across
-the grid sequentially or fanning units over the process pool when the
-config (or ``REPRO_PARALLEL``) asks for it.  Rows are served from the
+the grid.  Rows are served from the
 durable :class:`~repro.store.cache.ResultStore` when one is configured
 — row keys bind the unit parameters and the engine generation, never the
 engine flags, so accelerated and direct runs share one cache.
@@ -157,20 +156,6 @@ def compute_grid_row(
     )
 
 
-def _grid_task(spec) -> Dict[str, Any]:
-    """One grid row from a picklable spec — the unit the pool fans out.
-    Mirrors :func:`repro.analysis.tables._cell_task`: workers open the
-    same on-disk store by root (atomic writes make concurrent fills
-    safe) and keep their own plan caches."""
-    scenario, family, n, seed, probe, store_root, quotient = spec
-    store = None
-    if store_root:
-        from repro.store.cache import ResultStore
-
-        store = ResultStore(store_root)
-    return compute_grid_row(scenario, family, n, seed, probe, store=store, quotient=quotient)
-
-
 def scenario_document(scenario: Scenario, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Assemble the deterministic document of one grid scenario — same
     discipline as :func:`repro.store.jobs.table_document`: a pure
@@ -202,13 +187,11 @@ def run_scenario(
     ``store`` follows the harness convention (``None`` defers to
     ``REPRO_STORE``; a path or :class:`~repro.store.cache.ResultStore`
     makes units durable).  ``progress(done, total)`` is called after each
-    finished unit on the sequential path — the durable scenario job
-    heartbeats its lease there (it forces sequential execution, exactly
-    like the table jobs).  ``on_trace`` forwards each computed grid
-    unit's round-level tracer snapshots (see :func:`compute_grid_row`);
-    like ``progress`` it forces the sequential path, and it is ignored
-    for table scenarios (their cells ride the table machinery, which
-    reports unit progress only).
+    finished unit — the durable scenario job heartbeats its lease there.
+    ``on_trace`` forwards each computed grid unit's round-level tracer
+    snapshots (see :func:`compute_grid_row`); it is ignored for table
+    scenarios (their cells ride the table machinery, which reports unit
+    progress only).
     """
     from repro.store.cache import resolve_store
 
@@ -221,43 +204,23 @@ def run_scenario(
             scenario.table,
             n=scenario.n,
             seed=scenario.seed,
-            parallel=engine.parallel,
-            workers=engine.workers,
             store=store,
             quotient=engine.quotient,
             progress=progress,
         )
 
     units = grid_units(scenario)
-    parallel = engine.parallel
-    if parallel is None:
-        from repro.core.engine.batch import parallel_enabled_by_env
-
-        parallel = parallel_enabled_by_env()
-    if parallel and progress is None and on_trace is None:
-        from repro.core.engine.parallel import parallel_map
-
-        root = getattr(store, "root", None)
-        rows = parallel_map(
-            _grid_task,
-            [
-                (scenario, family, n, seed, probe, root, engine.quotient)
-                for family, n, seed, probe in units
-            ],
-            workers=engine.workers,
-        )
-    else:
-        plan_cache = PlanCache()
-        rows = []
-        for done, (family, n, seed, probe) in enumerate(units, start=1):
-            rows.append(
-                compute_grid_row(
-                    scenario, family, n, seed, probe, plan_cache=plan_cache,
-                    store=store, quotient=engine.quotient, on_trace=on_trace,
-                )
+    plan_cache = PlanCache()
+    rows = []
+    for done, (family, n, seed, probe) in enumerate(units, start=1):
+        rows.append(
+            compute_grid_row(
+                scenario, family, n, seed, probe, plan_cache=plan_cache,
+                store=store, quotient=engine.quotient, on_trace=on_trace,
             )
-            if progress is not None:
-                progress(done, len(units))
+        )
+        if progress is not None:
+            progress(done, len(units))
     return scenario_document(scenario, rows)
 
 

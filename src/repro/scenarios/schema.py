@@ -12,16 +12,15 @@ workload.  Two kinds exist:
   optional ``knowledge`` (centralized-help level, recorded in the
   document) and ``output.title``.
 
-Both kinds take an optional ``engine`` block (``parallel`` / ``workers``
-/ ``quotient``) selecting *how* the scenario runs, never
-what it computes: engine flags are excluded from :meth:`Scenario.identity`
-— and hence from store keys and emitted documents — so every engine mode
-produces byte-identical output.
+Both kinds take an optional ``engine`` block (``quotient``) selecting
+*how* the scenario runs, never what it computes: engine flags are
+excluded from :meth:`Scenario.identity` — and hence from store keys and
+emitted documents — so every engine mode produces byte-identical output.
 
 Validation is strict and total: unknown keys, wrong types, out-of-range
-values, unknown registry names, and incoherent engine-flag combinations
-each raise a :class:`~repro.scenarios.errors.ScenarioSchemaError` naming
-the offending key and the source file.
+values, and unknown registry names each raise a
+:class:`~repro.scenarios.errors.ScenarioSchemaError` naming the
+offending key and the source file.
 """
 
 from __future__ import annotations
@@ -39,27 +38,19 @@ _TABLE_KEYS = frozenset({"table", "n", "seed"})
 _GRID_KEYS = frozenset(
     {"model", "knowledge", "rounds", "seeds", "graphs", "probes", "inputs"}
 )
-_ENGINE_KEYS = frozenset({"parallel", "workers", "quotient"})
+_ENGINE_KEYS = frozenset({"quotient"})
 _OUTPUT_KEYS = frozenset({"title"})
 
 
 @dataclass(frozen=True)
 class EngineFlags:
     """How a scenario executes.  ``None`` defers to the environment
-    defaults (``REPRO_PARALLEL`` / ``REPRO_QUOTIENT``), exactly like the
-    harness entry points."""
+    default (``REPRO_QUOTIENT``), exactly like the harness entry points."""
 
-    parallel: Optional[bool] = None
-    workers: Optional[int] = None
     quotient: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for name in ("parallel", "workers", "quotient"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {} if self.quotient is None else {"quotient": self.quotient}
 
 
 @dataclass(frozen=True)
@@ -96,8 +87,8 @@ class Scenario:
         """The canonical parameter dict — everything that determines the
         scenario's *results*, nothing that only picks an engine mode.
         This is what store keys and emitted documents are built from, so
-        object, quotient, and parallel runs of the same
-        config share one cache and one byte-exact document."""
+        direct and quotient runs of the same config share one cache and
+        one byte-exact document."""
         if self.kind == "table":
             return {
                 "kind": "table",
@@ -176,22 +167,10 @@ def _validate_engine(raw: Any, source) -> EngineFlags:
                 f"engine.{key}",
                 f"unknown engine flag; known flags: {', '.join(sorted(_ENGINE_KEYS))}",
             )
-    flags: Dict[str, Any] = {}
-    for name in ("parallel", "quotient"):
-        if name in raw:
-            value = raw[name]
-            if not isinstance(value, bool):
-                _fail(source, f"engine.{name}", f"expected true or false, got {value!r}")
-            flags[name] = value
-    if "workers" in raw and raw["workers"] is not None:
-        flags["workers"] = _int_in(source, "engine.workers", raw["workers"], 1)
-    if flags.get("workers") is not None and flags.get("parallel") is False:
-        _fail(
-            source,
-            "engine.workers",
-            "engine.workers only applies when engine.parallel is not false",
-        )
-    return EngineFlags(**flags)
+    quotient = raw.get("quotient")
+    if "quotient" in raw and not isinstance(quotient, bool):
+        _fail(source, "engine.quotient", f"expected true or false, got {quotient!r}")
+    return EngineFlags(quotient=quotient)
 
 
 def _validate_title(raw: Any, source) -> Optional[str]:

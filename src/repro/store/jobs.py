@@ -140,26 +140,24 @@ def table_document(
 
 
 def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> str:
-    from repro.analysis.tables import cell_to_payload, compute_cell, table_specs
+    from repro.analysis.tables import paper_table_document
 
     dynamic = record.kind == "table2"
     n = int(record.params.get("n", 5 if dynamic else 6))
     seed = int(record.params.get("seed", 0))
+    log = JobEventLog(store.root)
     # Quotient acceleration changes how cells are computed, never what
     # they contain, so it rides in the job params but stays out of the
     # document key / cell store keys — warm caches serve either mode.
-    quotient = record.params.get("quotient")
-    specs = table_specs(dynamic, n, seed)
-    log = JobEventLog(store.root)
-    payloads: List[Dict[str, Any]] = []
-    for done, (dyn, model, knowledge, cell_n, cell_seed) in enumerate(specs, start=1):
-        result = compute_cell(
-            dyn, model, knowledge, cell_n, cell_seed, store=store, quotient=quotient
-        )
-        payloads.append(cell_to_payload(result))
-        _unit_progress(queue, log, record, done, len(specs))
+    doc = paper_table_document(
+        2 if dynamic else 1,
+        n=n,
+        seed=seed,
+        store=store,
+        quotient=record.params.get("quotient"),
+        progress=lambda done, total: _unit_progress(queue, log, record, done, total),
+    )
     params = {"n": n, "seed": seed}
-    doc = table_document(record.kind, n, seed, payloads)
     key = document_key(record.kind, params)
     store.put(key, doc, kind=f"{record.kind}-doc", params=params)
     return key
@@ -174,11 +172,7 @@ def _run_certificate_job(queue: JobQueue, store: ResultStore, record: JobRecord)
     # The certificate reuses every table cell already in the store, so a
     # retried certificate job recomputes nothing that survived the crash.
     doc = reproduction_certificate(
-        n=n,
-        seed=seed,
-        parallel=False,
-        store=store,
-        quotient=record.params.get("quotient"),
+        n=n, seed=seed, store=store, quotient=record.params.get("quotient")
     )
     params = {"n": n, "seed": seed}
     key = document_key("certificate", params)

@@ -17,7 +17,9 @@ cooperate through two primitives:
   Breaking a stale lease is itself atomic: the claimant ``rename``s the
   dead lease aside before re-acquiring, and POSIX guarantees exactly one
   renamer wins — two workers racing on the same corpse resolve to one
-  owner, never two.
+  owner, never two.  The renamer then re-judges the file it moved: if a
+  rival had already replaced the corpse with a fresh lease, that lease
+  is linked back into place and the renamer backs off.
 
 Claiming is incremental, not a full rescan: one directory listing per
 claim pass (names only — records are read lazily, not re-``stat``-ed en
@@ -273,32 +275,44 @@ class JobQueue:
             os.close(fd)
         return True
 
-    def _lease_info(self, job_id: str) -> Optional[Dict[str, Any]]:
+    @staticmethod
+    def _read_lease_file(path: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(self.lease_path(job_id), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
 
-    def _lease_stale(self, job_id: str) -> bool:
-        info = self._lease_info(job_id)
+    def _lease_info(self, job_id: str) -> Optional[Dict[str, Any]]:
+        return self._read_lease_file(self.lease_path(job_id))
+
+    def _stale_file(self, path: str) -> bool:
+        info = self._read_lease_file(path)
         if info is None:
             # Unreadable lease: age it by file mtime; missing file = stale.
             try:
-                mtime = os.path.getmtime(self.lease_path(job_id))
+                mtime = os.path.getmtime(path)
             except OSError:
                 return True
             return time.time() - mtime > self.lease_ttl
         return time.time() - float(info.get("heartbeat", 0.0)) > self.lease_ttl
+
+    def _lease_stale(self, job_id: str) -> bool:
+        return self._stale_file(self.lease_path(job_id))
 
     def _break_lease(self, job_id: str) -> bool:
         """Atomically retire a stale lease: rename it aside, then unlink.
 
         ``os.rename`` succeeds for exactly one caller — the second racer
         gets ``ENOENT`` and backs off — so two workers spotting the same
-        corpse can never both proceed to re-acquire.  The tombstone name
-        carries :data:`~repro.store.atomic.TMP_PREFIX` so a crash between
-        rename and unlink leaves only gc-sweepable residue.
+        corpse can never both proceed to re-acquire.  The caller judged
+        the lease stale *before* the rename, and a rival may have taken
+        the job over in between: so the renamed file is judged again, and
+        a fresh one is linked back into place (``os.link`` refuses to
+        overwrite a still newer lease) and the break reports failure.
+        The tombstone name carries :data:`~repro.store.atomic.TMP_PREFIX`
+        so a crash between rename and unlink leaves only gc-sweepable
+        residue.
         """
         tombstone = os.path.join(
             self.leases_dir,
@@ -308,11 +322,17 @@ class JobQueue:
             os.rename(self.lease_path(job_id), tombstone)
         except OSError:
             return False
+        retired = self._stale_file(tombstone)
+        if not retired:
+            try:
+                os.link(tombstone, self.lease_path(job_id))
+            except OSError:
+                pass  # a newer lease took the path; the displaced one is lost
         try:
             os.unlink(tombstone)
         except OSError:  # pragma: no cover - sweep_temp_files reclaims it
             pass
-        return True
+        return retired
 
     def _release_lease(self, job_id: str) -> None:
         try:
@@ -401,7 +421,10 @@ class JobQueue:
     def _claim_stale(self, job_id: str) -> Optional[JobRecord]:
         if os.path.exists(self.lease_path(job_id)):
             if not self._break_lease(job_id):
-                return None  # another worker broke it first
+                # Another worker broke it first, or already holds a
+                # fresh lease in its place.
+                self.counters["lease_conflicts"] += 1
+                return None
         if not self._try_acquire_lease(job_id):
             self.counters["lease_conflicts"] += 1
             return None
@@ -544,9 +567,10 @@ class JobQueue:
                     continue
                 job_id = name[: -len(".lock")]
                 record = self._read(job_id)
-                finished = record is not None and record.status in (DONE, FAILED)
-                if finished or self._lease_stale(job_id):
+                if record is not None and record.status in (DONE, FAILED):
                     self._release_lease(job_id)
+                    broken += 1
+                elif self._lease_stale(job_id) and self._break_lease(job_id):
                     broken += 1
         pruned = 0
         if keep_terminal is not None and os.path.isdir(self.jobs_dir):

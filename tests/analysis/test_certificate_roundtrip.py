@@ -25,7 +25,6 @@ from repro.analysis.impossibility import (
 )
 from repro.analysis.provenance import (
     Manifest,
-    current_backend,
     graph_fingerprint,
     network_fingerprint,
 )
@@ -57,14 +56,15 @@ class TestCertificateRoundTrip:
                 assert manifest["engine_version"] == ENGINE_VERSION
                 assert manifest["graph_hash"]
                 assert manifest["kind"] in ("table1-cell", "table2-cell")
-                # Cell manifests are backend-free by design (bit-identical
-                # across sequential/parallel); the document records the backend.
+                # Cell manifests are backend-free by design; the document
+                # records the backend.
                 assert manifest["backend"] is None
 
     def test_document_manifest_records_backend(self, certificate_doc):
         top = certificate_doc["manifest"]
         assert top["kind"] == "certificate"
-        assert top["backend"] in ("sequential", "parallel")
+        assert top["backend"] == "sequential"
+        assert top["extra"] == {}
         assert top["seed"] == certificate_doc["parameters"]["seed"]
 
     def test_parse_rejects_non_object(self):
@@ -128,17 +128,18 @@ class TestVerifyCatchesTampering:
         doc = tampered(certificate_doc, lambda d: d["manifest"].update(backend="gpu"))
         assert any("backend" in p for p in verify_certificate(doc))
 
+    def test_archived_parallel_backend_still_verifies(self, certificate_doc):
+        # Certificates written by the since-removed process-parallel
+        # backend record "parallel"; they must stay auditable.
+        doc = tampered(
+            certificate_doc,
+            lambda d: d["manifest"].update(backend="parallel", extra={"workers": 2}),
+        )
+        assert verify_certificate(doc) == []
+
     def test_unknown_enum_value(self, certificate_doc):
         doc = tampered(certificate_doc, lambda d: d["table1"][0].update(model="telepathy"))
         assert any("unknown enum" in p for p in verify_certificate(doc))
-
-
-class TestCertificateBackendParameter:
-    def test_explicit_parallel_recorded(self):
-        doc = reproduction_certificate(n=4, seed=0, parallel=True, workers=2)
-        assert doc["manifest"]["backend"] == "parallel"
-        assert doc["manifest"]["extra"] == {"workers": 2}
-        assert verify_certificate(doc) == []
 
 
 class TestCounterexampleRoundTrip:
@@ -225,7 +226,12 @@ class TestManifestRoundTrip:
         )
 
     def test_current_backend_is_sequential_here(self, monkeypatch):
+        # The retired REPRO_PARALLEL switch no longer selects a backend.
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert current_backend() == "sequential"
+        doc = reproduction_certificate(n=4, seed=0)
+        assert doc["manifest"]["backend"] == "sequential"
         monkeypatch.setenv("REPRO_PARALLEL", "1")
-        assert current_backend() == "parallel"
+        doc = reproduction_certificate(n=4, seed=0)
+        assert doc["manifest"]["backend"] == "sequential"
+        assert doc["manifest"]["extra"] == {}
+        assert verify_certificate(doc) == []

@@ -35,7 +35,7 @@ class TestTraceSubcommand:
         assert manifest["kind"] == "trace"
         assert manifest["n"] == 5 and manifest["rounds"] == 6
         assert manifest["graph_hash"]
-        assert manifest["backend"] in ("sequential", "parallel")
+        assert manifest["backend"] == "sequential"
         rounds = [e for e in events if e.kind == "round"]
         assert [e.round for e in rounds] == [1, 2, 3, 4, 5, 6]
         assert events[-1].kind == "summary"
@@ -89,18 +89,6 @@ class TestTraceSubcommand:
             if e.kind == "round"
         ]
         assert deterministic(a) == deterministic(b)
-
-
-class TestParallelFlag:
-    def test_table1_parallel_workers(self, capsys):
-        assert main(["--table", "1", "--n", "5", "--parallel", "--workers", "2"]) == 0
-        assert "every cell agrees" in capsys.readouterr().out
-
-    def test_json_certificate_records_parallel_backend(self, capsys):
-        assert main(["--json", "--n", "4", "--parallel", "--workers", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["manifest"]["backend"] == "parallel"
-        assert doc["manifest"]["extra"] == {"workers": 2}
 
 
 @pytest.mark.slow

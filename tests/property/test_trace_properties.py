@@ -6,8 +6,7 @@ Two families of properties:
    :class:`~repro.core.engine.trace.Tracer` attached takes exactly the
    trajectory of its untraced twin — same states, outputs, convergence
    reports, and scramble schedule — in all four communication models, on
-   static and dynamic networks, sequentially and across the process
-   pool.  Order-sensitive recording algorithms are used so any extra RNG
+   static and dynamic networks.  Order-sensitive recording algorithms are used so any extra RNG
    draw or delivery-order change is fatal, not forgiven.
 
 2. **Byte-accounting agreement.**  The tracer charges delivered payloads
@@ -25,9 +24,8 @@ from repro.algorithms.gossip import GossipAlgorithm
 from repro.algorithms.push_sum import PushSumAlgorithm
 from repro.analysis.bandwidth import payload_units, traced_bytes_curve
 from repro.core.convergence import run_until_stable
-from repro.core.engine.batch import BatchJob, run_batch
 from repro.core.engine.instrumentation import BandwidthObserver, StateDigestObserver
-from repro.core.engine.trace import Tracer, attach_tracers, merged_metrics, trace_execution
+from repro.core.engine.trace import Tracer, trace_execution
 from repro.core.execution import Execution
 from repro.dynamics.dynamic_graph import PeriodicDynamicGraph
 from repro.graphs.builders import random_strongly_connected, random_symmetric_connected
@@ -121,53 +119,6 @@ class TestTracingIsInvisibleToDetectors:
 
         plain, traced = report(False), report(True)
         assert plain == traced  # dataclass equality: every field, incl. trace
-
-
-def _record_jobs(n, seed):
-    """One job per communication model, order-sensitive, scrambled."""
-    jobs = []
-    for k, (algorithm_factory, builder) in enumerate(MODELS):
-        jobs.append(
-            BatchJob(
-                algorithm_factory(),
-                builder(n, seed=seed + k),
-                inputs=list(range(n)),
-                scramble_seed=seed,
-                rounds=ROUNDS,
-                label=f"model-{k}",
-            )
-        )
-    return jobs
-
-
-class TestTracingIsInvisibleParallel:
-    @settings(max_examples=5, deadline=None)
-    @given(
-        st.integers(min_value=3, max_value=6),
-        st.integers(min_value=0, max_value=1_000),
-    )
-    def test_parallel_traced_matches_sequential_untraced(self, n, seed):
-        untraced = run_batch(_record_jobs(n, seed))
-
-        jobs = _record_jobs(n, seed)
-        tracers = attach_tracers(jobs)
-        traced = run_batch(jobs, parallel=True, workers=2)
-
-        for plain, result in zip(untraced, traced):
-            assert plain.outputs == result.outputs
-        # The shipped-back tracers recorded ROUNDS rounds per job…
-        for tracer in tracers:
-            assert len(tracer.deterministic_rounds()) == ROUNDS
-        # …and their deterministic projections match a sequential re-run.
-        jobs_seq = _record_jobs(n, seed)
-        tracers_seq = attach_tracers(jobs_seq)
-        run_batch(jobs_seq)
-        assert [t.deterministic_rounds() for t in tracers] == [
-            t.deterministic_rounds() for t in tracers_seq
-        ]
-        assert merged_metrics(tracers).as_dict(deterministic_only=True) == (
-            merged_metrics(tracers_seq).as_dict(deterministic_only=True)
-        )
 
 
 # --------------------------------------------------------------------- #

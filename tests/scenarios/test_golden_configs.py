@@ -43,13 +43,7 @@ def hard_coded_bytes(table: int) -> bytes:
 
 @pytest.mark.parametrize("table,name", [(1, "table1.json"), (2, "table2.json")])
 class TestGoldenConfigs:
-    def test_sequential_byte_identity(self, table, name, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        document = run_scenario(load_scenario(config_path(name)))
-        assert document_bytes(document) == hard_coded_bytes(table)
-
-    def test_parallel_byte_identity(self, table, name, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+    def test_sequential_byte_identity(self, table, name):
         document = run_scenario(load_scenario(config_path(name)))
         assert document_bytes(document) == hard_coded_bytes(table)
 

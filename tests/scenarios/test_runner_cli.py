@@ -2,8 +2,8 @@
 
 Pins the DSL's execution-side contracts:
 
-* one config, one document — byte-identical across the object engine,
-  the quotient fallback, and the process pool;
+* one config, one document — byte-identical with quotient execution
+  on or off;
 * the result store serves warm rows without changing a byte;
 * ``python -m repro run`` exits 0/1 on PASS/FAIL verdicts and 2 on
   config errors, with a one-line diagnostic instead of a traceback;
@@ -53,14 +53,10 @@ def small_grid(tmp_path, **overrides):
 
 
 class TestEngineModeByteIdentity:
-    def test_all_modes_emit_identical_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    def test_all_modes_emit_identical_bytes(self, tmp_path):
         scenario = small_grid(tmp_path)
         base = document_bytes(run_scenario(scenario))
-        for flags in (
-            EngineFlags(quotient=True),
-            EngineFlags(parallel=True, workers=2),
-        ):
+        for flags in (EngineFlags(quotient=True), EngineFlags(quotient=False)):
             variant = dataclasses.replace(scenario, engine=flags)
             assert document_bytes(run_scenario(variant)) == base, flags
 
@@ -73,7 +69,7 @@ class TestEngineModeByteIdentity:
     def test_normalized_round_trips_through_validation(self, tmp_path):
         scenario = small_grid(
             tmp_path,
-            engine={"parallel": True, "workers": 2},
+            engine={"quotient": True},
             output={"title": "round trip"},
         )
         again = validate_scenario(scenario.normalized(), source="round-trip")
@@ -83,13 +79,9 @@ class TestEngineModeByteIdentity:
 
 
 class TestStore:
-    def test_cold_and_warm_runs_identical(self, tmp_path, monkeypatch):
+    def test_cold_and_warm_runs_identical(self, tmp_path):
         from repro.store.cache import ResultStore
 
-        # Parallel workers open their own ResultStore by root, so this
-        # store object's hit/miss counters only observe the sequential
-        # path; byte-identity across engine modes is asserted elsewhere.
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         scenario = small_grid(tmp_path)
         direct = document_bytes(run_scenario(scenario))
         store = ResultStore(tmp_path / "store")
@@ -99,10 +91,9 @@ class TestStore:
         assert warm == direct
         assert store.hits >= len(grid_units(scenario))  # warm run hit disk
 
-    def test_row_keys_shared_across_engine_modes(self, tmp_path, monkeypatch):
+    def test_row_keys_shared_across_engine_modes(self, tmp_path):
         from repro.store.cache import ResultStore
 
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)  # observable counters
         scenario = small_grid(tmp_path)
         store = ResultStore(tmp_path / "store")
         run_scenario(scenario, store=store)
@@ -216,6 +207,19 @@ class TestScenarioJob:
         parked = queue.get(record.id)
         assert parked.status == "failed"
         assert "kind" in parked.error
+
+    def test_queued_config_with_removed_parallel_flag_fails(self, tmp_path):
+        from repro.store.jobs import open_queue, open_store, run_worker
+
+        config = small_grid(tmp_path).normalized()
+        config["engine"] = {"parallel": True, "workers": 2}
+        queue = open_queue(tmp_path / "root")
+        record = queue.submit("scenario", {"config": config}, max_attempts=1)
+        run_worker(tmp_path / "root", queue=queue, store=open_store(tmp_path / "root"))
+        parked = queue.get(record.id)
+        assert parked.status == "failed"
+        assert "engine.parallel" in parked.error
+        assert "unknown engine flag; known flags: quotient" in parked.error
 
     def test_cli_submit_copies_the_config(self, tmp_path, capsys):
         root = tmp_path / "root"

@@ -164,9 +164,12 @@ class TestEngineFlagViolations:
         fails_on(raw, "engine.quotient")
 
     def test_workers_must_be_positive(self):
+        # The process-parallel backend was removed with its pool size:
+        # any ``workers`` value is now an unknown flag.
         raw = good_table()
-        raw["engine"] = {"parallel": True, "workers": 0}
-        fails_on(raw, "engine.workers")
+        raw["engine"] = {"workers": 0}
+        message = fails_on(raw, "engine.workers")
+        assert "known flags: quotient" in message
 
     def test_vector_flag_is_unknown(self):
         # The numpy vector backend was removed; configs that still force
@@ -175,12 +178,15 @@ class TestEngineFlagViolations:
         raw = good_table()
         raw["engine"] = {"quotient": True, flag: True}
         message = fails_on(raw, f"engine.{flag}")
-        assert "known flags: parallel, quotient, workers" in message
+        assert "known flags: quotient" in message
 
     def test_workers_without_parallel_rejected(self):
+        # Old configs carrying the removed parallel flags are rejected
+        # by the unknown-flag check, whatever their values.
         raw = good_table()
         raw["engine"] = {"parallel": False, "workers": 4}
-        fails_on(raw, "engine.workers")
+        message = fails_on(raw, "engine.parallel")
+        assert "unknown engine flag; known flags: quotient" in message
 
 
 class TestFileErrors:

@@ -29,7 +29,6 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
-    env.pop("REPRO_PARALLEL", None)  # byte-identity tests pin one backend
     return env
 
 
@@ -271,6 +270,64 @@ class TestLeaseTakeoverRace:
         # lease is fresh now, so _lease_stale says no and claim skips it.
         assert loser.claim() is None
         winner.heartbeat(job_id)  # the winner still owns the lease
+
+
+class TestStaleJudgementInterleaving:
+    """Deterministic interleavings of the takeover race: worker B judges
+    a dead lease stale, then worker A takes the job over before B acts
+    on that judgement.  B must not retire A's fresh lease."""
+
+    def _dead_lease(self, tmp_path, status):
+        root = os.path.join(tmp_path, "queue")
+        queue = JobQueue(root, lease_ttl=30.0, owner="dead")
+        record = queue.submit("noop", {"i": 2})
+        if status == RUNNING:
+            assert queue.claim() is not None
+        os.makedirs(queue.leases_dir, exist_ok=True)
+        with open(queue.lease_path(record.id), "w", encoding="utf-8") as fh:
+            json.dump({"owner": "dead", "heartbeat": time.time() - 3600}, fh)
+        return root, record.id
+
+    @staticmethod
+    def _interleave(judge, rival):
+        """Wrap ``judge._lease_stale`` so ``rival`` claims right after
+        the first check that returns True."""
+        check = judge._lease_stale
+        taken = []
+
+        def stale_then_rival_claims(job_id):
+            verdict = check(job_id)
+            if verdict and not taken:
+                taken.append(rival.claim())
+            return verdict
+
+        judge._lease_stale = stale_then_rival_claims
+        return taken
+
+    @pytest.mark.parametrize("status", [RUNNING, "queued"])
+    def test_claim_after_rival_takeover_backs_off(self, tmp_path, status):
+        root, job_id = self._dead_lease(tmp_path, status)
+        a = JobQueue(root, lease_ttl=30.0, owner="a")
+        b = JobQueue(root, lease_ttl=30.0, owner="b")
+        taken = self._interleave(b, a)
+        assert b.claim() is None
+        assert taken and taken[0] is not None and taken[0].id == job_id
+        a.heartbeat(job_id)  # A still holds its lease
+        assert a.lease_info(job_id)["owner"] == "a"
+        record = a.get(job_id)
+        assert record.status == RUNNING
+        assert record.attempts == (1 if status == RUNNING else 0)
+        assert b.stats()["takeovers"] == 0
+        assert not [n for n in os.listdir(a.leases_dir) if not n.endswith(".lock")]
+
+    def test_gc_after_rival_takeover_keeps_the_fresh_lease(self, tmp_path):
+        root, job_id = self._dead_lease(tmp_path, RUNNING)
+        a = JobQueue(root, lease_ttl=30.0, owner="a")
+        sweeper = JobQueue(root, lease_ttl=30.0, owner="gc")
+        taken = self._interleave(sweeper, a)
+        assert sweeper.gc()["leases_broken"] == 0
+        assert taken and taken[0] is not None
+        a.heartbeat(job_id)
 
 
 class TestKillResume:
