@@ -412,6 +412,8 @@ class ExperimentService:
             lambda: self.queue.submit(kind, params)
         )
         self.counters["submitted"] += 1
+        if self.orchestrator is not None:
+            self.orchestrator.wake()  # claim now, not after its idle nap
         location = f"/v1/runs/{record.id}"
         payload = record.to_dict()
         payload["links"] = {

@@ -19,11 +19,38 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import List, Union
+from typing import Callable, List, Set, TypeVar, Union
 
 #: Prefix of the temporary files the writers stage payloads in; the gc
 #: sweeper only ever touches names carrying it.
 TMP_PREFIX = ".tmp-"
+
+_T = TypeVar("_T")
+
+
+class MadeDirs:
+    """The directories one writer has already created.
+
+    A writer calls ``os.makedirs`` the first time it writes into a
+    directory, not on every write.  A directory removed since (``gc``,
+    an operator's ``rm -r``) surfaces as ``FileNotFoundError`` from the
+    write; :meth:`write` then recreates it and retries once.
+    """
+
+    def __init__(self) -> None:
+        self._made: Set[str] = set()
+
+    def write(self, directory: str, write: Callable[[], _T]) -> _T:
+        """Run ``write()`` (which creates a file in ``directory``) after
+        making sure ``directory`` exists."""
+        if directory not in self._made:
+            os.makedirs(directory, exist_ok=True)
+            self._made.add(directory)
+        try:
+            return write()
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
+            return write()
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.engine import ENGINE_VERSION
 from repro.envflags import env_path
-from repro.store.atomic import atomic_write_text, sweep_temp_files
+from repro.store.atomic import MadeDirs, append_line, atomic_write_text, sweep_temp_files
 from repro.store.snapshot import SNAPSHOT_CODEC_VERSION
 
 #: Environment variable naming a store root that every harness entry
@@ -75,6 +75,7 @@ class ResultStore:
         self.misses = 0
         self.puts = 0
         self.healed = 0
+        self._dirs = MadeDirs()
 
     # -- layout --------------------------------------------------------- #
 
@@ -88,9 +89,6 @@ class ResultStore:
 
     def entry_path(self, key: str) -> str:
         return os.path.join(self.results_dir, key[:2], f"{key}.json")
-
-    def _ensure_dir(self, path: str) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
 
     # -- the map -------------------------------------------------------- #
 
@@ -159,8 +157,8 @@ class ResultStore:
             "payload_sha256": self._digest(payload),
         }
         path = self.entry_path(key)
-        self._ensure_dir(path)
-        atomic_write_text(path, json.dumps(entry, sort_keys=True, indent=1))
+        text = json.dumps(entry, sort_keys=True, indent=1)
+        self._dirs.write(os.path.dirname(path), lambda: atomic_write_text(path, text))
         self._journal({"op": "put", "key": key, "kind": kind})
         self.puts += 1
 
@@ -202,11 +200,9 @@ class ResultStore:
         self._journal({"op": "heal", "path": os.path.basename(path)})
 
     def _journal(self, record: Dict[str, Any]) -> None:
-        from repro.store.atomic import append_line
-
+        line = json.dumps(record, sort_keys=True)
         try:
-            os.makedirs(self.root, exist_ok=True)
-            append_line(self.journal_path, json.dumps(record, sort_keys=True))
+            self._dirs.write(self.root, lambda: append_line(self.journal_path, line))
         except OSError:  # pragma: no cover - journal is best-effort
             pass
 

@@ -32,7 +32,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Union
 
-from repro.store.atomic import append_line
+from repro.store.atomic import MadeDirs, append_line
 
 #: Subdirectory of a store root holding the per-job event files.
 EVENTS_DIR = "events"
@@ -49,6 +49,7 @@ class JobEventLog:
     def __init__(self, root: Union[str, os.PathLike]):
         self.root = os.fspath(root)
         self._next: Dict[str, int] = {}
+        self._dirs = MadeDirs()
 
     @property
     def events_dir(self) -> str:
@@ -77,13 +78,8 @@ class JobEventLog:
         if next_id > MAX_EVENTS_PER_JOB:
             self._next[job_id] = next_id
             return None
-        os.makedirs(self.events_dir, exist_ok=True)
-        append_line(
-            self.path(job_id),
-            json.dumps(
-                {"id": next_id, "event": event, "data": data}, sort_keys=True
-            ),
-        )
+        line = json.dumps({"id": next_id, "event": event, "data": data}, sort_keys=True)
+        self._dirs.write(self.events_dir, lambda: append_line(self.path(job_id), line))
         self._next[job_id] = next_id + 1
         return next_id
 

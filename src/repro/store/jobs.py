@@ -14,12 +14,14 @@ to the repository's actual workloads.  Six job kinds are understood:
   engine cost, yet still byte-comparable across runs.
 
 Every runner computes its units *one at a time through the result
-store*, heartbeating the job lease and updating the job's progress
-record between units.  That interleaving is the whole crash-recovery
-story: a worker killed mid-table has already persisted every finished
-cell, so the retry (same job id, same store) replays only the remainder
-— and because cell payloads and document assembly are deterministic, the
-resumed document is byte-identical to an uninterrupted run's.
+store*.  That is the whole crash-recovery story: a worker killed
+mid-table has already persisted every finished cell, so the retry (same
+job id, same store) replays only the remainder — and because cell
+payloads and document assembly are deterministic, the resumed document
+is byte-identical to an uninterrupted run's.  Between units a
+progress writer appends a ``progress`` event per unit and
+refreshes the lease and the job record once per heartbeat interval
+(plus the first and the last unit), not once per unit.
 
 Layout: one ``root`` directory holds both halves of the subsystem — the
 result store at the root itself and the queue under ``root/queue`` —
@@ -37,7 +39,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.core.engine import ENGINE_VERSION
 from repro.store.cache import ResultStore, canonical_params, result_key
 from repro.store.events import JobEventLog
-from repro.store.scheduler import JobQueue, JobRecord
+from repro.store.scheduler import JobQueue, JobRecord, default_heartbeat_seconds
 from repro.store.shard import MANIFEST_NAME, ShardedJobQueue, ShardLayoutError
 
 #: Job kinds the worker loop knows how to run.
@@ -99,23 +101,45 @@ def store_status_payload(
     return payload
 
 
-def _unit_progress(
-    queue: JobQueue,
-    log: JobEventLog,
-    record: JobRecord,
-    done: int,
-    total: int,
-) -> None:
-    """The per-unit bookkeeping every multi-unit runner shares: refresh
-    the lease, persist progress on the job record, and append a
-    ``progress`` event to the job's durable event log (the SSE feed)."""
-    queue.heartbeat(record.id)
-    queue.update_progress(record.id, {"units_done": done, "units_total": total})
-    log.append(
-        record.id,
-        "progress",
-        {"kind": record.kind, "units_done": done, "units_total": total},
-    )
+class _ProgressWriter:
+    """The per-unit bookkeeping of one multi-unit job, as the
+    ``progress(done, total)`` callback its runner hands the engine.
+
+    Every unit appends a ``progress`` event to the job's durable event
+    log (the SSE feed keeps one event per unit).  The lease heartbeat
+    and the progress field of the job record — each an fsynced atomic
+    rewrite — are written only when due: on the first unit (so a watcher
+    sees ``units_done >= 1`` as soon as one unit is persisted), on the
+    last unit (so a lease stolen mid-run raises :class:`LeaseBroken`
+    before the runner puts its document and the worker calls
+    ``complete()``), and whenever :func:`default_heartbeat_seconds` has
+    passed since the previous write.
+    """
+
+    def __init__(self, queue: JobQueue, log: JobEventLog, record: JobRecord):
+        self.queue = queue
+        self.log = log
+        self.record = record
+        self.interval = default_heartbeat_seconds()
+        self._written: Optional[float] = None
+
+    def __call__(self, done: int, total: int) -> None:
+        now = time.monotonic()
+        if (
+            self._written is None
+            or done >= total
+            or now - self._written >= self.interval
+        ):
+            self.queue.heartbeat(self.record.id)
+            self.queue.update_progress(
+                self.record.id, {"units_done": done, "units_total": total}
+            )
+            self._written = now
+        self.log.append(
+            self.record.id,
+            "progress",
+            {"kind": self.record.kind, "units_done": done, "units_total": total},
+        )
 
 
 def table_document(
@@ -145,7 +169,6 @@ def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> st
     dynamic = record.kind == "table2"
     n = int(record.params.get("n", 5 if dynamic else 6))
     seed = int(record.params.get("seed", 0))
-    log = JobEventLog(store.root)
     # Quotient acceleration changes how cells are computed, never what
     # they contain, so it rides in the job params but stays out of the
     # document key / cell store keys — warm caches serve either mode.
@@ -155,7 +178,7 @@ def _run_table_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> st
         seed=seed,
         store=store,
         quotient=record.params.get("quotient"),
-        progress=lambda done, total: _unit_progress(queue, log, record, done, total),
+        progress=_ProgressWriter(queue, JobEventLog(store.root), record),
     )
     params = {"n": n, "seed": seed}
     key = document_key(record.kind, params)
@@ -177,7 +200,7 @@ def _run_certificate_job(queue: JobQueue, store: ResultStore, record: JobRecord)
     params = {"n": n, "seed": seed}
     key = document_key("certificate", params)
     store.put(key, doc, kind="certificate-doc", params=params)
-    _unit_progress(queue, JobEventLog(store.root), record, 1, 1)
+    _ProgressWriter(queue, JobEventLog(store.root), record)(1, 1)
     return key
 
 
@@ -185,12 +208,12 @@ def _run_sweep_job(queue: JobQueue, store: ResultStore, record: JobRecord) -> st
     from repro.analysis.rates import check_proof_invariants, proof_check_to_payload
 
     specs = [tuple(int(x) for x in s) for s in record.params.get("specs", [])]
-    log = JobEventLog(store.root)
+    progress = _ProgressWriter(queue, JobEventLog(store.root), record)
     payloads: List[Dict[str, Any]] = []
     for done, (n, d, seed, rounds) in enumerate(specs, start=1):
         check = check_proof_invariants(n, d, seed, rounds, store=store)
         payloads.append(proof_check_to_payload(check))
-        _unit_progress(queue, log, record, done, len(specs))
+        progress(done, len(specs))
     doc = {
         "kind": "sweep",
         "engine_version": ENGINE_VERSION,
@@ -224,9 +247,7 @@ def _run_scenario_job(queue: JobQueue, store: ResultStore, record: JobRecord) ->
         )
 
     log = JobEventLog(store.root)
-
-    def progress(done: int, total: int) -> None:
-        _unit_progress(queue, log, record, done, total)
+    progress = _ProgressWriter(queue, log, record)
 
     # Round-level tracer metric snapshots are opt-in (submit with
     # "trace": true beside the config): each *computed* grid unit streams

@@ -261,6 +261,12 @@ class Orchestrator:
                 self._admit(waiter)
         self._wake.set()
 
+    def wake(self) -> None:
+        """Claim now instead of at the end of the idle nap: an embedding
+        service calls this (from the orchestrator's event loop) right
+        after it enqueues a job."""
+        self._wake.set()
+
     # -- lease upkeep --------------------------------------------------- #
 
     def _heartbeat_all(self) -> None:
@@ -300,6 +306,10 @@ class Orchestrator:
         heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
         try:
             while True:
+                # Cleared before the claim, so a wake-up that lands while
+                # the claim is in flight (a completion, a submission the
+                # listing missed) is kept for the waits below.
+                self._wake.clear()
                 room = self.window - self._inflight_total()
                 if self.max_jobs is not None:
                     room = min(room, self.max_jobs - self.stats["claimed"])
@@ -318,12 +328,19 @@ class Orchestrator:
                     )
                     if self.idle_exit or budget_spent:
                         break
-                    await asyncio.sleep(self.poll_interval)
+                    # Idle: nap until a submission wakes us (see wake()),
+                    # or poll_interval passes for jobs other processes
+                    # enqueued.
+                    try:
+                        await asyncio.wait_for(
+                            self._wake.wait(), timeout=self.poll_interval
+                        )
+                    except asyncio.TimeoutError:
+                        pass
                     continue
                 if self._inflight_total() >= self.window or not claimed:
                     # Window full (or queue momentarily empty): sleep
                     # until a dispatch completes, or briefly.
-                    self._wake.clear()
                     try:
                         await asyncio.wait_for(
                             self._wake.wait(), timeout=self.poll_interval * 4

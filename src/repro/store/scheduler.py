@@ -14,12 +14,12 @@ cooperate through two primitives:
   periodically; a lease whose heartbeat is older than ``lease_ttl``
   seconds belongs to a dead worker (``kill -9`` leaves exactly this
   residue) and is broken by the next claimant, which re-runs the job.
-  Breaking a stale lease is itself atomic: the claimant ``rename``s the
-  dead lease aside before re-acquiring, and POSIX guarantees exactly one
-  renamer wins — two workers racing on the same corpse resolve to one
-  owner, never two.  The renamer then re-judges the file it moved: if a
-  rival had already replaced the corpse with a fresh lease, that lease
-  is linked back into place and the renamer backs off.
+  Breaking a stale lease is serialised: the breaker judges staleness
+  and unlinks the corpse under an exclusive ``flock`` on the queue's
+  lease mutex (``leases.flock``, beside ``leases/``), which every lease
+  creation takes too.  Two workers racing on the same corpse resolve to
+  one owner, never two, and a fresh lease is never moved or removed
+  while it is judged — its holder's heartbeat always finds it in place.
 
 Claiming is incremental, not a full rescan: one directory listing per
 claim pass (names only — records are read lazily, not re-``stat``-ed en
@@ -51,6 +51,8 @@ fall back to the documented defaults.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.envflags import env_float
-from repro.store.atomic import TMP_PREFIX, atomic_write_text, sweep_temp_files
+from repro.store.atomic import MadeDirs, atomic_write_text, sweep_temp_files
 from repro.store.cache import canonical_params
 
 #: Job lifecycle states, in the order they normally occur.
@@ -168,6 +170,7 @@ class JobQueue:
         # *not* cached — a failed job can be revived at any time.
         self._seen_done: Set[str] = set()
         self._cursor: Optional[str] = None
+        self._dirs = MadeDirs()
         self.counters: Dict[str, int] = {
             "claims": 0,
             "takeovers": 0,
@@ -193,15 +196,18 @@ class JobQueue:
     def lease_path(self, job_id: str) -> str:
         return os.path.join(self.leases_dir, f"{job_id}.lock")
 
+    @property
+    def lease_mutex_path(self) -> str:
+        return os.path.join(self.root, "leases.flock")
+
     def _write(self, record: JobRecord) -> None:
-        os.makedirs(self.jobs_dir, exist_ok=True)
         # Any state transition written through this instance invalidates
         # its done-cache for the id (e.g. a done job forced back to
         # queued must become claimable again).
         self._seen_done.discard(record.id)
-        atomic_write_text(
-            self.job_path(record.id), json.dumps(record.to_dict(), sort_keys=True, indent=1)
-        )
+        path = self.job_path(record.id)
+        text = json.dumps(record.to_dict(), sort_keys=True, indent=1)
+        self._dirs.write(self.jobs_dir, lambda: atomic_write_text(path, text))
 
     def _read(self, job_id: str) -> Optional[JobRecord]:
         self.counters["records_read"] += 1
@@ -259,20 +265,40 @@ class JobQueue:
 
     # -- leases --------------------------------------------------------- #
 
+    @contextlib.contextmanager
+    def _lease_mutex(self):
+        """Hold the queue's lease mutex: an exclusive ``flock`` on
+        :attr:`lease_mutex_path`.  Lease creation and lease breaking take
+        it; heartbeats and releases do not (they only touch a lease the
+        caller holds).  The lock dies with its descriptor, so a worker
+        killed inside never wedges the queue."""
+        fd = self._dirs.write(
+            self.root,
+            lambda: os.open(self.lease_mutex_path, os.O_RDWR | os.O_CREAT, 0o644),
+        )
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
     def _try_acquire_lease(self, job_id: str) -> bool:
-        os.makedirs(self.leases_dir, exist_ok=True)
         path = self.lease_path(job_id)
         payload = json.dumps(
             {"owner": self._owner, "heartbeat": time.time()}, sort_keys=True
         )
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, payload.encode("utf-8"))
-        finally:
-            os.close(fd)
+        with self._lease_mutex():
+            try:
+                fd = self._dirs.write(
+                    self.leases_dir,
+                    lambda: os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644),
+                )
+            except FileExistsError:
+                return False
+            try:
+                os.write(fd, payload.encode("utf-8"))
+            finally:
+                os.close(fd)
         return True
 
     @staticmethod
@@ -301,38 +327,26 @@ class JobQueue:
         return self._stale_file(self.lease_path(job_id))
 
     def _break_lease(self, job_id: str) -> bool:
-        """Atomically retire a stale lease: rename it aside, then unlink.
+        """Retire a stale lease; ``True`` only for the caller that did.
 
-        ``os.rename`` succeeds for exactly one caller — the second racer
-        gets ``ENOENT`` and backs off — so two workers spotting the same
-        corpse can never both proceed to re-acquire.  The caller judged
-        the lease stale *before* the rename, and a rival may have taken
-        the job over in between: so the renamed file is judged again, and
-        a fresh one is linked back into place (``os.link`` refuses to
-        overwrite a still newer lease) and the break reports failure.
-        The tombstone name carries :data:`~repro.store.atomic.TMP_PREFIX`
-        so a crash between rename and unlink leaves only gc-sweepable
-        residue.
+        The caller judged the lease stale *before* getting here, and a
+        rival may have taken the job over since.  So the lease is judged
+        again and unlinked under the lease mutex, where no other breaker
+        and no lease creation can interleave: a fresh lease stays in
+        place (its holder's heartbeat never sees the path missing), and
+        of two workers spotting the same corpse only the first unlinks
+        it — the second finds the path gone, or a fresh lease on it, and
+        backs off.
         """
-        tombstone = os.path.join(
-            self.leases_dir,
-            f"{TMP_PREFIX}broken-{job_id}-{os.getpid()}-{time.monotonic_ns()}",
-        )
-        try:
-            os.rename(self.lease_path(job_id), tombstone)
-        except OSError:
-            return False
-        retired = self._stale_file(tombstone)
-        if not retired:
+        path = self.lease_path(job_id)
+        with self._lease_mutex():
+            if not self._stale_file(path):
+                return False
             try:
-                os.link(tombstone, self.lease_path(job_id))
+                os.unlink(path)
             except OSError:
-                pass  # a newer lease took the path; the displaced one is lost
-        try:
-            os.unlink(tombstone)
-        except OSError:  # pragma: no cover - sweep_temp_files reclaims it
-            pass
-        return retired
+                return False  # already gone: another breaker won
+        return True
 
     def _release_lease(self, job_id: str) -> None:
         try:
@@ -360,7 +374,12 @@ class JobQueue:
 
     def heartbeat(self, job_id: str) -> None:
         """Refresh the lease; raises :class:`LeaseBroken` if this worker
-        no longer holds it (the job was handed to someone else)."""
+        no longer holds it (the job was handed to someone else).
+
+        One atomic, fsynced rewrite of the lease file.  Holders call it
+        once per :func:`default_heartbeat_seconds`, not once per unit of
+        work: the runners' progress writer and the orchestrator's
+        heartbeat task both pace it on that interval."""
         info = self._lease_info(job_id)
         if info is None or info.get("owner") != self._owner:
             raise LeaseBroken(f"lease on {job_id} is not held by {self._owner}")

@@ -73,9 +73,9 @@ class SnapshotIntegrityError(SnapshotError):
 # ---------------------------------------------------------------------- #
 
 def encode_states(states: List[Any]) -> bytes:
-    """Serialize a local-state vector — the single audited deep-copy /
-    cross-process path for agent states (every checkpoint and
-    :func:`copy_states` go through here)."""
+    """Serialize a local-state vector — the single audited
+    serialization path for agent states (every checkpoint goes through
+    here)."""
     return pickle.dumps(list(states), protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -87,11 +87,6 @@ def decode_states(blob: bytes) -> List[Any]:
             f"decoded state vector is a {type(states).__name__}, not a list"
         )
     return states
-
-
-def copy_states(states: List[Any]) -> List[Any]:
-    """A deep, detached copy of a state vector via the audited codec."""
-    return decode_states(encode_states(states))
 
 
 # ---------------------------------------------------------------------- #

@@ -21,9 +21,11 @@ from repro.store.jobs import (
     run_worker,
     table_document,
 )
-from repro.store.scheduler import DONE, FAILED, RUNNING, JobQueue
+from repro.store.events import JobEventLog
+from repro.store.scheduler import DONE, FAILED, QUEUED, RUNNING, JobQueue
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "..", "configs")
 
 
 def _env():
@@ -271,6 +273,50 @@ class TestLeaseTakeoverRace:
         assert loser.claim() is None
         winner.heartbeat(job_id)  # the winner still owns the lease
 
+    def test_holder_heartbeats_through_a_crowd_of_breakers(self, tmp_path):
+        """Stress: more breaker threads than cores hammer a fresh lease
+        while its holder heartbeats.  No breaker may retire it, and the
+        holder may never find its lease missing."""
+        import threading
+
+        root = os.path.join(tmp_path, "queue")
+        holder = JobQueue(root, lease_ttl=30.0, owner="holder")
+        record = holder.submit("noop", {"i": 3})
+        assert holder.claim() is not None
+        breakers = [JobQueue(root, lease_ttl=30.0, owner=f"b{k}") for k in range(8)]
+        stop = threading.Event()
+        broken, errors = [], []
+
+        def hammer(queue):
+            while not stop.is_set():
+                if queue._break_lease(record.id):
+                    broken.append(queue._owner)
+
+        def heartbeat():
+            try:
+                for _ in range(300):
+                    holder.heartbeat(record.id)
+            except Exception as exc:  # noqa: BLE001 - the failure under test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(q,)) for q in breakers]
+            for t in threads:
+                t.start()
+            beat = threading.Thread(target=heartbeat)
+            beat.start()
+            beat.join(timeout=60)
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not beat.is_alive() and not any(t.is_alive() for t in threads)
+        assert errors == [] and broken == []
+        assert holder.lease_info(record.id)["owner"] == "holder"
+
 
 class TestStaleJudgementInterleaving:
     """Deterministic interleavings of the takeover race: worker B judges
@@ -328,6 +374,154 @@ class TestStaleJudgementInterleaving:
         assert sweeper.gc()["leases_broken"] == 0
         assert taken and taken[0] is not None
         a.heartbeat(job_id)
+
+    def test_holder_heartbeats_while_rival_judges_its_lease(self, tmp_path):
+        """B judged the dead lease stale, A took the job over, and B now
+        re-judges before breaking.  A heartbeat from A *during* that
+        judgement must find A's lease in place — the path never goes
+        missing while a fresh lease is judged."""
+        root, job_id = self._dead_lease(tmp_path, RUNNING)
+        a = JobQueue(root, lease_ttl=30.0, owner="a")
+        b = JobQueue(root, lease_ttl=30.0, owner="b")
+        taken = self._interleave(b, a)
+        judge = b._stale_file
+        heartbeats = []
+
+        def judge_while_a_heartbeats(path):
+            if taken and taken[0] is not None:
+                a.heartbeat(job_id)
+                heartbeats.append(path)
+            return judge(path)
+
+        b._stale_file = judge_while_a_heartbeats
+        assert b.claim() is None
+        assert heartbeats  # A heartbeat while B judged its lease
+        assert a.lease_info(job_id)["owner"] == "a"
+        a.heartbeat(job_id)
+        assert b.stats()["takeovers"] == 0
+        assert b.stats()["lease_conflicts"] == 1
+
+
+def _onebit_config():
+    with open(os.path.join(CONFIGS, "onebit_counting.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _slow_sweep(monkeypatch, delay, on_unit=None):
+    """Make every sweep unit take ``delay`` seconds; ``on_unit(i)`` runs
+    before unit ``i`` (1-based) computes."""
+    import repro.analysis.rates as rates
+
+    check = rates.check_proof_invariants
+    calls = []
+
+    def slow_check(*args, **kwargs):
+        calls.append(None)
+        if on_unit is not None:
+            on_unit(len(calls))
+        time.sleep(delay)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "check_proof_invariants", slow_check)
+
+
+class TestProgressCadence:
+    """Per-unit bookkeeping: one event per unit, but the lease and the
+    job record are rewritten on the first and last unit and once per
+    heartbeat interval — never once per unit."""
+
+    def _count_writes(self, monkeypatch):
+        import repro.store.scheduler as scheduler
+
+        written = []
+        write = scheduler.atomic_write_text
+
+        def counting_write(path, text, *args, **kwargs):
+            written.append(os.fspath(path))
+            return write(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "atomic_write_text", counting_write)
+        return written
+
+    def test_lease_and_record_writes_do_not_scale_with_units(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "3600")
+        queue, store = open_queue(tmp_path), open_store(tmp_path)
+        record = queue.submit("scenario", {"config": _onebit_config()})
+        written = self._count_writes(monkeypatch)
+        assert run_worker(tmp_path, queue=queue, store=store) == 1
+        # The lease: first and last unit.  The record: claim, first and
+        # last unit, done.  Forty units write neither forty times.
+        assert written.count(queue.lease_path(record.id)) == 2
+        assert written.count(queue.job_path(record.id)) == 4
+        # Yet every unit still appends its progress event.
+        events = JobEventLog(store.root).read(record.id)
+        progress = [e["data"] for e in events if e["event"] == "progress"]
+        assert [p["units_done"] for p in progress] == list(range(1, 41))
+        assert {p["units_total"] for p in progress} == {40}
+        finished = queue.get(record.id)
+        assert finished.status == DONE
+        assert finished.progress == {"units_done": 40, "units_total": 40}
+
+    def test_rival_never_sees_a_stale_lease_mid_run(self, tmp_path, monkeypatch):
+        import threading
+
+        monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "0.05")
+        monkeypatch.setenv("REPRO_LEASE_STALE_SECONDS", "0.3")
+        _slow_sweep(monkeypatch, 0.02)
+        queue, store = open_queue(tmp_path), open_store(tmp_path)
+        # 40 units of >= 20 ms: several lease TTLs end to end.
+        record = queue.submit("sweep", {"specs": [[4, 2, s, 5] for s in range(40)]})
+        rival = open_queue(tmp_path, owner="rival")
+        assert rival.lease_ttl == 0.3
+        ages = []
+        stop = threading.Event()
+
+        def watch():
+            while not stop.is_set():
+                age = rival.heartbeat_age(record.id)
+                if age is not None:
+                    ages.append(age)
+                time.sleep(0.005)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            assert run_worker(tmp_path, queue=queue, store=store) == 1
+        finally:
+            stop.set()
+            watcher.join(timeout=10)
+        assert not watcher.is_alive()
+        assert queue.get(record.id).status == DONE
+        assert len(ages) > 20  # the rival looked throughout the run
+        assert max(ages) < rival.lease_ttl
+
+    def test_stolen_lease_is_caught_at_the_last_unit(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "3600")
+        queue, store = open_queue(tmp_path), open_store(tmp_path)
+        params = {"specs": [[4, 2, s, 5] for s in range(10)]}
+        record = queue.submit("sweep", params)
+
+        def steal(unit):
+            if unit == 5:  # a rival takes the job over mid-run
+                with open(queue.lease_path(record.id), "w", encoding="utf-8") as fh:
+                    json.dump({"owner": "thief", "heartbeat": time.time()}, fh)
+
+        _slow_sweep(monkeypatch, 0.0, on_unit=steal)
+        completed = []
+        complete = queue.complete
+        monkeypatch.setattr(
+            queue, "complete", lambda *a, **k: completed.append(a) or complete(*a, **k)
+        )
+        assert run_worker(tmp_path, queue=queue, store=store) == 1
+        assert completed == []  # never completed over the thief
+        assert expected_result_key("sweep", params) not in store
+        failed = queue.get(record.id)
+        assert failed.status == QUEUED and failed.attempts == 1
+        assert "LeaseBroken" in failed.error
+        # The last write before the theft was the first unit's.
+        assert failed.progress == {"units_done": 1, "units_total": 10}
+        events = JobEventLog(store.root).read(record.id)
+        assert [e["data"]["units_done"] for e in events] == list(range(1, 10))
 
 
 class TestKillResume:

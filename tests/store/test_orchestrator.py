@@ -135,6 +135,56 @@ class TestHeartbeat:
         assert finished.attempts == 0  # never taken over
 
 
+class TestWakeOnSubmit:
+    def test_embedded_orchestrator_claims_on_submit(self, tmp_path):
+        """A submission through the service wakes an idle embedded
+        orchestrator: the job runs long before a 5 s idle nap ends."""
+        import asyncio
+
+        from repro.service.app import ExperimentService
+        from repro.service.client import ServiceClient
+
+        async def submit_and_watch():
+            service = await ExperimentService(tmp_path).start(port=0)
+            orchestrator = Orchestrator(
+                tmp_path, pools=1, idle_exit=False, poll_interval=5.0
+            )
+            service.orchestrator = orchestrator
+            task = asyncio.ensure_future(orchestrator.run())
+            loop = asyncio.get_running_loop()
+            client = ServiceClient(service.host, service.port)
+            try:
+                # Let the orchestrator find the queue empty and start
+                # its idle nap.
+                while orchestrator.queue.stats()["listings"] == 0:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)
+                started = time.monotonic()
+                record = await loop.run_in_executor(
+                    None, client.submit, {"kind": "noop", "params": {"i": 1}}
+                )
+                while True:
+                    status = await loop.run_in_executor(
+                        None, client.run_status, record["id"]
+                    )
+                    elapsed = time.monotonic() - started
+                    if status["status"] in ("running", "done") or elapsed > 5.0:
+                        return status["status"], elapsed
+                    await asyncio.sleep(0.01)
+            finally:
+                client.close()
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+                await service.close()
+
+        status, elapsed = asyncio.run(submit_and_watch())
+        assert status in ("running", "done")
+        assert elapsed < 1.0
+
+
 class TestMetrics:
     def test_publish_folds_orchestrator_and_queue_counters(self, tmp_path):
         queue = open_queue(tmp_path, shards=2)

@@ -17,7 +17,6 @@ from repro.store.snapshot import (
     Snapshot,
     SnapshotIntegrityError,
     SnapshotVersionError,
-    copy_states,
     decode_states,
     encode_states,
     read_snapshot,
@@ -40,12 +39,6 @@ class TestStateCodec:
     def test_round_trip(self):
         states = [{"a": {1, 2}}, (3, frozenset([4])), None, 7.5]
         assert decode_states(encode_states(states)) == states
-
-    def test_copy_is_deep(self):
-        states = [{"inner": [1, 2]}]
-        copied = copy_states(states)
-        copied[0]["inner"].append(3)
-        assert states[0]["inner"] == [1, 2]
 
     def test_non_list_blob_rejected(self):
         import pickle
